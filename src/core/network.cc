@@ -21,6 +21,7 @@ PeerId Network::AppendPeer(KeyId key, DegreeCaps caps) {
   in_base_.push_back(in_base_.back() + caps.max_in);
   out_count_.push_back(0);
   in_count_.push_back(0);
+  ring_pos_.push_back(kNotOnRing);
   out_slab_.resize(out_base_.back());
   in_slab_.resize(in_base_.back());
   return id;
@@ -28,7 +29,8 @@ PeerId Network::AppendPeer(KeyId key, DegreeCaps caps) {
 
 PeerId Network::Join(KeyId key, DegreeCaps caps) {
   const PeerId id = AppendPeer(key, caps);
-  ring_.Insert(key, id);
+  // The insert already memmoves the ring tail; refresh the same tail.
+  RefreshRingPos(ring_.Insert(key, id));
   Touch(id);
   return id;
 }
@@ -43,7 +45,7 @@ PeerId Network::JoinMany(const std::vector<KeyId>& keys,
     entries.push_back({keys[i].raw, id});
     Touch(id);
   }
-  ring_.InsertMany(std::move(entries));
+  RefreshRingPos(ring_.InsertMany(std::move(entries)));
   return first;
 }
 
@@ -52,24 +54,35 @@ void Network::Crash(PeerId id) {
   ClearLongLinks(id);  // Release the in-degree this peer's links held.
   alive_[id] = 0;
   in_count_[id] = 0;
-  ring_.Remove(keys_[id], id);
+  ring_pos_[id] = kNotOnRing;
+  if (const auto pos = ring_.Remove(keys_[id], id)) RefreshRingPos(*pos);
   Touch(id);
 }
 
 void Network::CrashMany(const std::vector<PeerId>& victims) {
-  size_t newly_dead = 0;
+  // Ring entries before the lowest victim's position do not move.
+  uint32_t first_pos = kNotOnRing;
   for (PeerId id : victims) {
     if (!alive_[id]) continue;
     ClearLongLinks(id);
     alive_[id] = 0;
     in_count_[id] = 0;
+    first_pos = std::min(first_pos, ring_pos_[id]);
+    ring_pos_[id] = kNotOnRing;
     Touch(id);
-    ++newly_dead;
   }
-  if (newly_dead == 0) return;
+  if (first_pos == kNotOnRing) return;
   // After the liveness flips above, the only dead ids still on the ring
   // are exactly the victims: drop them in one pass.
   ring_.RemoveIdsIf([this](PeerId id) { return alive_[id] == 0; });
+  RefreshRingPos(first_pos);
+}
+
+void Network::RefreshRingPos(size_t from) {
+  const std::vector<Ring::Entry>& entries = ring_.entries();
+  for (size_t pos = from; pos < entries.size(); ++pos) {
+    ring_pos_[entries[pos].id] = static_cast<uint32_t>(pos);
+  }
 }
 
 std::vector<PeerId> Network::AlivePeers() const {
@@ -77,23 +90,6 @@ std::vector<PeerId> Network::AlivePeers() const {
   out.reserve(ring_.size());
   for (const Ring::Entry& entry : ring_.entries()) out.push_back(entry.id);
   return out;
-}
-
-std::optional<PeerId> Network::RingNeighbor(PeerId id, bool clockwise) const {
-  if (!alive_[id] || ring_.size() < 2) return std::nullopt;
-  const auto index = ring_.IndexOf(keys_[id], id);
-  if (!index.has_value()) return std::nullopt;
-  const size_t n = ring_.size();
-  const size_t next = clockwise ? (*index + 1) % n : (*index + n - 1) % n;
-  return ring_.at(next).id;
-}
-
-std::optional<PeerId> Network::SuccessorOf(PeerId id) const {
-  return RingNeighbor(id, /*clockwise=*/true);
-}
-
-std::optional<PeerId> Network::PredecessorOf(PeerId id) const {
-  return RingNeighbor(id, /*clockwise=*/false);
 }
 
 bool Network::AddLongLink(PeerId from, PeerId to) {
@@ -183,8 +179,8 @@ Status Network::CheckInvariants() const {
   const size_t n = keys_.size();
   // Parallel arrays grow in lockstep; bases are (N+1) cap prefix sums.
   if (caps_.size() != n || alive_.size() != n || out_count_.size() != n ||
-      in_count_.size() != n || out_base_.size() != n + 1 ||
-      in_base_.size() != n + 1) {
+      in_count_.size() != n || ring_pos_.size() != n ||
+      out_base_.size() != n + 1 || in_base_.size() != n + 1) {
     return Status::Error("parallel peer arrays out of lockstep");
   }
   if (out_base_[0] != 0 || in_base_[0] != 0) {
@@ -287,6 +283,15 @@ Status Network::CheckInvariants() const {
     on_ring[entry.id] = 1;
     if (pos > 0 && !(ring_.at(pos - 1) < entry)) {
       return Status::Error("ring entries out of (key, id) order");
+    }
+    if (ring_pos_[entry.id] != pos) {
+      return Status::Error(
+          PeerContext("ring_pos does not point back at ring entry", entry.id));
+    }
+  }
+  for (PeerId id = 0; id < n; ++id) {
+    if (!alive_[id] && ring_pos_[id] != kNotOnRing) {
+      return Status::Error(PeerContext("dead peer carries a ring position", id));
     }
   }
   return Status::Ok();

@@ -13,6 +13,13 @@
 // deallocations), and snapshot freeze/restore are flat array copies.
 // This is what keeps million-peer growth cache-dense; the per-peer
 // std::vector layout it replaces spent its time in allocator traffic.
+//
+// The read surface is the same flat one a frozen TopologySnapshot
+// offers (keys_data/alive_data/caps_data, OutLinks/InLinks rows and an
+// O(1) ring_pos index), so the walk, routing and gap-span kernels are
+// written once as templates over the backend type and run unchanged on
+// either. ring_pos_ is maintained eagerly by every mutator — const
+// reads never write, so concurrent readers stay safe.
 
 #ifndef OSCAR_CORE_NETWORK_H_
 #define OSCAR_CORE_NETWORK_H_
@@ -61,6 +68,9 @@ struct LinkCandidate {
 
 class Network {
  public:
+  /// ring_pos() of a peer that is not on the ring (dead).
+  static constexpr uint32_t kNotOnRing = UINT32_MAX;
+
   /// Adds an alive peer and indexes it on the ring. Returns its id.
   PeerId Join(KeyId key, DegreeCaps caps);
 
@@ -122,8 +132,22 @@ class Network {
 
   /// Next/previous alive peer on the ring; nullopt when `id` is the only
   /// alive peer (or dead). For a 1-peer ring a peer has no neighbors.
-  std::optional<PeerId> SuccessorOf(PeerId id) const;
-  std::optional<PeerId> PredecessorOf(PeerId id) const;
+  /// O(1) through the ring position index.
+  std::optional<PeerId> SuccessorOf(PeerId id) const {
+    return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/true);
+  }
+  std::optional<PeerId> PredecessorOf(PeerId id) const {
+    return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/false);
+  }
+
+  // ---- Flat read surface (same names as TopologySnapshot's) ---------
+  // Raw parallel arrays indexed by PeerId < size(). Valid until the next
+  // Join/JoinMany (the arrays may grow and move).
+  const KeyId* keys_data() const { return keys_.data(); }
+  const DegreeCaps* caps_data() const { return caps_.data(); }
+  const uint8_t* alive_data() const { return alive_.data(); }
+  /// Position of `id` in ring order (kNotOnRing when dead).
+  uint32_t ring_pos(PeerId id) const { return ring_pos_[id]; }
 
   /// Adds a long link from -> to. Fails (returns false) on self-links,
   /// dead endpoints, duplicates, and when `to` is at its in-degree cap
@@ -170,8 +194,10 @@ class Network {
   /// matching their slab rows, no self/duplicate out-links, dead peers
   /// holding no link state, in/out reciprocity between alive peers
   /// (every in-link entry backed by exactly one live out-link and vice
-  /// versa), and ring <-> peer-table agreement (sorted, exactly the
-  /// alive peers, matching keys). Returns the first violation found;
+  /// versa), ring <-> peer-table agreement (sorted, exactly the alive
+  /// peers, matching keys), and ring_pos_ agreement (every ring entry's
+  /// position points back at it, every dead peer holds kNotOnRing).
+  /// Returns the first violation found;
   /// O(N + E * max_in) — checkpoint-granularity cost, not per-hop.
   Status CheckInvariants() const;
 
@@ -187,10 +213,12 @@ class Network {
   // last restore.
   friend class TopologySnapshot;
 
-  std::optional<PeerId> RingNeighbor(PeerId id, bool clockwise) const;
-
   /// Appends one row to every parallel array (no ring insert).
   PeerId AppendPeer(KeyId key, DegreeCaps caps);
+
+  /// Rewrites ring_pos_ for every ring entry at position >= `from` —
+  /// the entries a ring insert or erase at `from` shifted.
+  void RefreshRingPos(size_t from);
 
   /// Records `id` as structurally dirty relative to the snapshot this
   /// network was last restored from. Every mutator calls it; it is a
@@ -222,6 +250,9 @@ class Network {
   std::vector<PeerId> out_slab_;
   std::vector<PeerId> in_slab_;
   Ring ring_;
+  // Position of each peer in ring_ (kNotOnRing when dead), kept in step
+  // with every ring mutation.
+  std::vector<uint32_t> ring_pos_;
   // Delta-restore bookkeeping, managed by TopologySnapshot::RestoreInto:
   // which snapshot this network is a restore of (0 = none) and which
   // peers were mutated since.

@@ -2,10 +2,17 @@
 // live, mutable Network and a frozen TopologySnapshot. It is a cheap
 // value type (two pointers) constructed implicitly from either backend,
 // so every read-side consumer (routers, steppers, samplers, size
-// estimators, structural metrics) is written once and runs unchanged
-// against a growing network or a shared snapshot. Dispatch is a single
-// predictable branch per call; both backends expose the same Ring, so
-// ring queries are forwarded without translation.
+// estimators, structural metrics) takes one parameter type and runs
+// unchanged against a growing network or a shared snapshot.
+//
+// Both backends expose the same flat read surface (keys_data,
+// alive_data, caps_data, ring_pos, OutLinks/InLinks rows, the shared
+// Ring), so the hot kernels — the random walk, the greedy and
+// backtracking steps, the gap-span loop — are templates over the
+// backend type, written once. Visit() hands such a kernel the concrete
+// backend, picking it once per walk or route rather than once per
+// read; the convenience accessors below dispatch per call and suit
+// cold paths.
 //
 // A view does not own its backend: it is valid only while the Network
 // or TopologySnapshot it was built from is alive, and reads through a
@@ -25,6 +32,34 @@
 
 namespace oscar {
 
+/// Invokes fn(candidate) for every routing neighbor of `id` on either
+/// backend: ring successor, predecessor when distinct (both alive),
+/// then the long out-link row in stored order (possibly dead). Routers
+/// are order-sensitive, so this is the one definition of that order.
+template <typename Backend, typename Fn>
+inline void ForEachNeighbor(const Backend& topo, PeerId id, Fn&& fn) {
+  const Ring& ring = topo.ring();
+  const size_t rn = ring.size();
+  const uint32_t pos = topo.ring_pos(id);
+  if (rn >= 2 && pos != Network::kNotOnRing) {
+    const PeerId succ = ring.at((pos + 1) % rn).id;
+    const PeerId pred = ring.at((pos + rn - 1) % rn).id;
+    fn(succ);
+    if (pred != succ) fn(pred);
+  }
+  for (PeerId target : topo.OutLinks(id)) fn(target);
+}
+
+/// The undirected gossip neighborhood of `id`: routing neighbors plus
+/// the peers holding long links TO `id`. Random walks use this
+/// symmetric view — walking only out-links concentrates the stationary
+/// distribution on already-popular peers.
+template <typename Backend, typename Fn>
+inline void ForEachWalkNeighbor(const Backend& topo, PeerId id, Fn&& fn) {
+  ForEachNeighbor(topo, id, fn);
+  for (PeerId source : topo.InLinks(id)) fn(source);
+}
+
 class NetworkView {
  public:
   // Implicit by design: every `const Network&` read signature upgraded
@@ -32,11 +67,14 @@ class NetworkView {
   NetworkView(const Network& net) : net_(&net) {}           // NOLINT
   NetworkView(const TopologySnapshot& snap) : snap_(&snap) {}  // NOLINT
 
-  /// The frozen backend, or nullptr when this view reads a live
-  /// Network. Routers use it to swap in the CSR-specialized steppers —
-  /// a frozen snapshot cannot change mid-route, so the flat arrays can
-  /// be read without per-call dispatch.
-  const TopologySnapshot* snapshot() const { return snap_; }
+  /// Calls fn(backend) with the concrete `const Network&` or `const
+  /// TopologySnapshot&` and returns its result (both instantiations
+  /// must return the same type). The once-per-walk/route dispatch point
+  /// for the backend-templated kernels.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    return net_ != nullptr ? fn(*net_) : fn(*snap_);
+  }
 
   size_t size() const { return net_ ? net_->size() : snap_->size(); }
   size_t alive_count() const { return ring().size(); }
@@ -61,6 +99,11 @@ class NetworkView {
     return net_ ? net_->InLinks(id) : snap_->InLinks(id);
   }
 
+  /// Ring position of `id` (Network::kNotOnRing when dead).
+  uint32_t ring_pos(PeerId id) const {
+    return net_ ? net_->ring_pos(id) : snap_->ring_pos(id);
+  }
+
   std::optional<PeerId> OwnerOf(KeyId target) const {
     return ring().OwnerOf(target);
   }
@@ -80,25 +123,17 @@ class NetworkView {
     return out;
   }
 
-  /// Appends the routing neighbors of `id`: ring successor and
-  /// predecessor (when distinct, always alive) followed by long
-  /// out-links in stored order (possibly dead). Composed here, once,
-  /// from the backend primitives so the two backends can never drift
-  /// apart in element order — routers are order-sensitive.
+  /// Appends ForEachNeighbor's / ForEachWalkNeighbor's enumeration of
+  /// `id` — the exact sequence the step and walk kernels iterate.
   void AppendNeighbors(PeerId id, std::vector<PeerId>* out) const {
-    const auto succ = SuccessorOf(id);
-    const auto pred = PredecessorOf(id);
-    if (succ.has_value()) out->push_back(*succ);
-    if (pred.has_value() && pred != succ) out->push_back(*pred);
-    for (PeerId target : OutLinks(id)) out->push_back(target);
+    Visit([&](const auto& topo) {
+      ForEachNeighbor(topo, id, [out](PeerId n) { out->push_back(n); });
+    });
   }
-  /// Appends the undirected gossip neighborhood of `id`: routing
-  /// neighbors plus the peers holding long links TO `id`. Random walks
-  /// use this symmetric view — walking only out-links concentrates the
-  /// stationary distribution on already-popular peers.
   void AppendWalkNeighbors(PeerId id, std::vector<PeerId>* out) const {
-    AppendNeighbors(id, out);
-    for (PeerId source : InLinks(id)) out->push_back(source);
+    Visit([&](const auto& topo) {
+      ForEachWalkNeighbor(topo, id, [out](PeerId n) { out->push_back(n); });
+    });
   }
 
  private:

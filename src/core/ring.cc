@@ -11,19 +11,17 @@ size_t Ring::LowerBound(uint64_t raw) const {
       entries_.begin());
 }
 
-void Ring::Insert(KeyId key, PeerId id) {
+size_t Ring::Insert(KeyId key, PeerId id) {
   const Entry entry{key.raw, id};
-  entries_.insert(
+  const auto it = entries_.insert(
       std::lower_bound(entries_.begin(), entries_.end(), entry), entry);
+  return static_cast<size_t>(it - entries_.begin());
 }
 
-void Ring::InsertMany(std::vector<Entry> added) {
-  if (added.empty()) return;
+size_t Ring::InsertMany(std::vector<Entry> added) {
+  if (added.empty()) return entries_.size();
   if (added.size() == 1) {
-    entries_.insert(std::lower_bound(entries_.begin(), entries_.end(),
-                                     added.front()),
-                    added.front());
-    return;
+    return Insert(KeyId::FromRaw(added.front().key_raw), added.front().id);
   }
   std::sort(added.begin(), added.end());
   // Backward in-place merge: one O(existing + added) pass instead of an
@@ -41,15 +39,19 @@ void Ring::InsertMany(std::vector<Entry> added) {
       entries_[--put] = added[--from_new];
     }
   }
+  return put;  // The lowest new entry was placed last.
 }
 
-void Ring::Remove(KeyId key, PeerId id) {
+std::optional<size_t> Ring::Remove(KeyId key, PeerId id) {
   const Entry entry{key.raw, id};
   const auto it =
       std::lower_bound(entries_.begin(), entries_.end(), entry);
-  if (it != entries_.end() && it->key_raw == key.raw && it->id == id) {
-    entries_.erase(it);
+  if (it == entries_.end() || it->key_raw != key.raw || it->id != id) {
+    return std::nullopt;
   }
+  const size_t index = static_cast<size_t>(it - entries_.begin());
+  entries_.erase(it);
+  return index;
 }
 
 std::optional<PeerId> Ring::OwnerOf(KeyId key) const {
@@ -84,16 +86,6 @@ std::optional<PeerId> Ring::NthInSegment(KeyId from, KeyId to,
 std::optional<PeerId> Ring::SuccessorOfKey(KeyId key) const {
   if (entries_.empty()) return std::nullopt;
   return entries_[LowerBound(key.raw) % entries_.size()].id;
-}
-
-std::optional<size_t> Ring::IndexOf(KeyId key, PeerId id) const {
-  const Entry entry{key.raw, id};
-  const auto it =
-      std::lower_bound(entries_.begin(), entries_.end(), entry);
-  if (it == entries_.end() || it->key_raw != key.raw || it->id != id) {
-    return std::nullopt;
-  }
-  return static_cast<size_t>(it - entries_.begin());
 }
 
 }  // namespace oscar

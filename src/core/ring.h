@@ -31,13 +31,19 @@ class Ring {
     }
   };
 
-  void Insert(KeyId key, PeerId id);
+  /// Inserts (key, id) and returns the position it landed at; every
+  /// entry from that position on shifted one slot clockwise.
+  size_t Insert(KeyId key, PeerId id);
   /// Inserts every entry in `added` (any order) in one backward merge
   /// pass — O(size + k log k) total where k sorted-vector Inserts would
   /// cost O(k * size). Identical result to inserting them one by one;
   /// Network::JoinMany is the caller that makes batched joins cheap.
-  void InsertMany(std::vector<Entry> added);
-  void Remove(KeyId key, PeerId id);
+  /// Returns the position of the lowest inserted entry — no entry before
+  /// it moved (size() when `added` is empty).
+  size_t InsertMany(std::vector<Entry> added);
+  /// Removes (key, id) and returns the position it held (entries after
+  /// it shifted one slot back), or nullopt when it was not on the ring.
+  std::optional<size_t> Remove(KeyId key, PeerId id);
 
   /// Removes every entry whose id satisfies `pred` in one filter pass —
   /// O(size) total instead of O(size) per removal, the batched form
@@ -70,11 +76,18 @@ class Ring {
   /// First alive peer at or clockwise-after `key` (wrapping).
   std::optional<PeerId> SuccessorOfKey(KeyId key) const;
 
-  /// Clockwise rank from the peer owning position `from_idx` — helpers
-  /// for link-geometry metrics. `IndexOf` returns the position of the
-  /// entry (key,id) in ring order, or nullopt if absent.
-  std::optional<size_t> IndexOf(KeyId key, PeerId id) const;
+  /// The entry at ring position `index` (Network::ring_pos maps a peer
+  /// to its position).
   const Entry& at(size_t index) const { return entries_[index]; }
+
+  /// The peer one position clockwise (or counter-clockwise) of `index`;
+  /// nullopt when `index` is off the ring or the ring has fewer than two
+  /// entries (a lone peer has no neighbors).
+  std::optional<PeerId> NeighborAt(size_t index, bool clockwise) const {
+    const size_t n = entries_.size();
+    if (n < 2 || index >= n) return std::nullopt;
+    return entries_[clockwise ? (index + 1) % n : (index + n - 1) % n].id;
+  }
 
  private:
   // Position of the first entry with key_raw >= raw (== size() if none).

@@ -56,9 +56,8 @@ struct SearchEvaluation {
 };
 
 /// Routes queries from random alive sources and aggregates costs.
-/// Takes the topology through NetworkView: over a frozen snapshot the
-/// routers' CSR fast path engages automatically, which is how the
-/// churn figure evaluates its crash levels.
+/// Takes the topology through NetworkView, so the churn figure can
+/// evaluate its crash levels over frozen snapshots.
 SearchEvaluation EvaluateSearch(NetworkView net, const Router& router,
                                 const SearchOptions& options, Rng* rng);
 

@@ -66,20 +66,7 @@ TopologySnapshot::TopologySnapshot(const Network& net)
     in_edges_.insert(in_edges_.end(), in.begin(), in.end());
     push_offsets(out_edges_.size(), in_edges_.size());
   }
-  ring_pos_.assign(n, kNotOnRing);
-  for (size_t pos = 0; pos < ring_.size(); ++pos) {
-    ring_pos_[ring_.at(pos).id] = static_cast<uint32_t>(pos);
-  }
-}
-
-std::optional<PeerId> TopologySnapshot::RingNeighbor(PeerId id,
-                                                     bool clockwise) const {
-  if (!alive(id) || ring_.size() < 2) return std::nullopt;
-  const uint32_t pos = ring_pos_[id];
-  if (pos == kNotOnRing) return std::nullopt;
-  const size_t n = ring_.size();
-  const size_t next = clockwise ? (pos + 1) % n : (pos + n - 1) % n;
-  return ring_.at(next).id;
+  ring_pos_ = net.ring_pos_;
 }
 
 Status TopologySnapshot::Validate() const {
@@ -226,6 +213,9 @@ Status TopologySnapshot::CheckRestoreIdentity(const Network& net) const {
   if (net.ring_.entries() != full.ring_.entries()) {
     return Status::Error("restored ring diverges from full restore");
   }
+  if (net.ring_pos_ != full.ring_pos_) {
+    return Status::Error("restored ring_pos diverges from full restore");
+  }
   return Status::Ok();
 }
 
@@ -296,6 +286,7 @@ void TopologySnapshot::RestoreInto(Network* net) const {
     for (PeerId id = 0; id < n; ++id) repair(id);
   }
   net->ring_ = ring_;
+  net->ring_pos_ = ring_pos_;
   net->restore_token_ = token_;
   net->journal_active_ = true;
   net->journal_.clear();

@@ -43,8 +43,9 @@ class TopologySnapshot {
   const Ring& ring() const { return ring_; }
 
   /// Dual-width CSR offset view: one predictable branch selects the
-  /// 32-bit (default) or promoted 64-bit array. Steppers index it per
-  /// hop; the branch is free next to the cache miss on the edge row.
+  /// 32-bit (default) or promoted 64-bit array. OutLinks/InLinks index
+  /// it per row read; the branch is free next to the cache miss on the
+  /// edge row.
   struct CsrOffsets {
     const uint32_t* narrow = nullptr;
     const uint64_t* wide = nullptr;
@@ -72,13 +73,13 @@ class TopologySnapshot {
   std::optional<PeerId> OwnerOf(KeyId key) const { return ring_.OwnerOf(key); }
 
   /// Ring neighbors, identical semantics to Network::SuccessorOf /
-  /// PredecessorOf but O(1): the ring position of every alive peer is
-  /// precomputed at freeze time.
+  /// PredecessorOf and the same O(1) lookup through the ring position
+  /// frozen from the network's index.
   std::optional<PeerId> SuccessorOf(PeerId id) const {
-    return RingNeighbor(id, /*clockwise=*/true);
+    return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/true);
   }
   std::optional<PeerId> PredecessorOf(PeerId id) const {
-    return RingNeighbor(id, /*clockwise=*/false);
+    return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/false);
   }
 
   /// Materializes a mutable Network structurally identical to the one
@@ -98,11 +99,11 @@ class TopologySnapshot {
   /// replays skip rebuilding the untouched bulk of the peer table.
   void RestoreInto(Network* net) const;
 
-  // ---- CSR fast-path surface ----------------------------------------
-  // Raw flat arrays for snapshot-specialized route steppers: one load
-  // per field, no per-call backend dispatch. Valid while the snapshot
-  // is alive; indices are PeerIds < size().
-  static constexpr uint32_t kNotOnRing = UINT32_MAX;
+  // ---- Flat read surface (same names as Network's) ------------------
+  // Raw flat arrays for the backend-templated walk, step and gap-span
+  // kernels: one load per field, no per-call backend dispatch. Valid
+  // while the snapshot is alive; indices are PeerIds < size().
+  static constexpr uint32_t kNotOnRing = Network::kNotOnRing;
   const KeyId* keys_data() const { return keys_.data(); }
   const DegreeCaps* caps_data() const { return caps_.data(); }
   const uint8_t* alive_data() const { return alive_.data(); }
@@ -114,13 +115,12 @@ class TopologySnapshot {
     return wide_ ? CsrOffsets{nullptr, in_offsets64_.data()}
                  : CsrOffsets{in_offsets32_.data(), nullptr};
   }
-  const PeerId* out_edges_data() const { return out_edges_.data(); }
   /// True when the edge totals crossed the promotion threshold and this
   /// snapshot stores 64-bit offsets.
   bool wide_offsets() const { return wide_; }
   /// Ring position of `id` (kNotOnRing when dead) — the O(1) index
-  /// behind SuccessorOf/PredecessorOf, exposed so steppers can walk the
-  /// ring without optional-wrapping each neighbor.
+  /// behind SuccessorOf/PredecessorOf, exposed so the kernels can walk
+  /// the ring without optional-wrapping each neighbor.
   uint32_t ring_pos(PeerId id) const { return ring_pos_[id]; }
 
   /// Test hook: lowers the 32 -> 64-bit promotion threshold so the wide
@@ -148,7 +148,6 @@ class TopologySnapshot {
   // audit_test corrupts private state to prove Validate() detects each
   // violation class (no public path builds an invalid snapshot).
   friend struct TopologySnapshotTestAccess;
-  std::optional<PeerId> RingNeighbor(PeerId id, bool clockwise) const;
 
   std::vector<KeyId> keys_;
   std::vector<DegreeCaps> caps_;

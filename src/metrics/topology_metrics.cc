@@ -20,9 +20,7 @@ LinkGeometryReport ComputeLinkGeometry(NetworkView net) {
     const PeerId id = ring.at(index).id;
     for (PeerId target : net.OutLinks(id)) {
       if (!net.alive(target)) continue;
-      const auto target_index = ring.IndexOf(net.key(target), target);
-      if (!target_index.has_value()) continue;
-      const size_t rank = (*target_index + n - index) % n;
+      const size_t rank = (net.ring_pos(target) + n - index) % n;
       if (rank == 0) continue;
       const size_t octave = static_cast<size_t>(
           std::floor(std::log2(static_cast<double>(rank))));

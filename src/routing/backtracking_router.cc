@@ -1,35 +1,23 @@
 #include "routing/backtracking_router.h"
 
-#include "routing/csr_stepper.h"
 #include "routing/route_stepper.h"
 
 namespace oscar {
-namespace {
-
-RouteResult Drive(BacktrackingStepper& stepper, NetworkView net,
-                  PeerId source, KeyId target) {
-  stepper.Start(net, source, target);
-  const size_t max_messages = 8 * net.alive_count() + 64;
-  while (!stepper.done() &&
-         stepper.result().hops + stepper.result().wasted < max_messages) {
-    stepper.Step(net);
-  }
-  if (!stepper.done()) stepper.Abandon(net);
-  return stepper.result();
-}
-
-}  // namespace
 
 RouteResult BacktrackingRouter::Route(NetworkView net, PeerId source,
                                       KeyId target) const {
-  // Snapshot backend: the CSR-specialized stepper reads the flat
-  // arrays directly (identical routes, guarded by csr_stepper_test).
-  if (net.snapshot() != nullptr) {
-    CsrBacktrackingStepper stepper;
-    return Drive(stepper, net, source, target);
-  }
   BacktrackingStepper stepper;
-  return Drive(stepper, net, source, target);
+  stepper.Start(net, source, target);
+  const size_t max_messages = 8 * net.alive_count() + 64;
+  // One backend dispatch per route; every step runs the flat kernel.
+  net.Visit([&](const auto& topo) {
+    while (!stepper.done() &&
+           stepper.result().hops + stepper.result().wasted < max_messages) {
+      stepper.StepOn(topo);
+    }
+  });
+  if (!stepper.done()) stepper.Abandon(net);
+  return stepper.result();
 }
 
 }  // namespace oscar

@@ -20,9 +20,17 @@ void GreedyStepper::Start(NetworkView net, PeerId source, KeyId target) {
 }
 
 RouteStep GreedyStepper::Step(NetworkView net) {
+  return net.Visit([this](const auto& topo) { return StepOn(topo); });
+}
+
+template <typename Backend>
+RouteStep GreedyStepper::StepOn(const Backend& topo) {
+  const KeyId* keys = topo.keys_data();
+  const uint8_t* alive = topo.alive_data();
+  const DegreeCaps* caps = topo.caps_data();
   RouteStep step;
   step.from = current_;
-  const auto owner = net.OwnerOf(target_);
+  const auto owner = topo.OwnerOf(target_);
   if (owner.has_value() && current_ == *owner) {
     result_.success = true;
     result_.terminal = current_;
@@ -30,21 +38,23 @@ RouteStep GreedyStepper::Step(NetworkView net) {
     step.kind = StepKind::kArrived;
     return step;
   }
-  neighbors_.clear();
-  net.AppendNeighbors(current_, &neighbors_);
-  const uint64_t here = RingDistance(net.key(current_), target_);
+  const uint64_t here = RingDistance(keys[current_], target_);
   bool moved = false;
+  bool saw_dead = false;
   PeerId best = current_;
   uint64_t best_distance = here;
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate)) continue;  // Dead probes charged lazily below.
-    const uint64_t d = RingDistance(net.key(candidate), target_);
+  ForEachNeighbor(topo, current_, [&](PeerId candidate) {
+    if (!alive[candidate]) {  // Dead probes charged lazily below.
+      saw_dead = true;
+      return;
+    }
+    const uint64_t d = RingDistance(keys[candidate], target_);
     if (d < best_distance) {
       best = candidate;
       best_distance = d;
       moved = true;
     }
-  }
+  });
   if (!moved) {  // No strict progress: substrate violation.
     result_.terminal = current_;
     result_.success = owner.has_value() && current_ == *owner;
@@ -59,23 +69,24 @@ RouteStep GreedyStepper::Step(NetworkView net) {
       best_distance + best_distance / 2 < best_distance
           ? UINT64_MAX
           : best_distance + best_distance / 2;
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate) || candidate == best) continue;
-    const uint64_t d = RingDistance(net.key(candidate), target_);
-    if (d < here && d <= band &&
-        net.caps(candidate).max_in > net.caps(best).max_in) {
+  ForEachNeighbor(topo, current_, [&](PeerId candidate) {
+    if (!alive[candidate] || candidate == best) return;
+    const uint64_t d = RingDistance(keys[candidate], target_);
+    if (d < here && d <= band && caps[candidate].max_in > caps[best].max_in) {
       best = candidate;
     }
-  }
-  best_distance = RingDistance(net.key(best), target_);
+  });
+  best_distance = RingDistance(keys[best], target_);
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate) &&
-        RingDistance(net.key(candidate), target_) < best_distance) {
-      ++result_.wasted;
-      ++step.dead_probes;
-    }
+  if (saw_dead) {
+    ForEachNeighbor(topo, current_, [&](PeerId candidate) {
+      if (!alive[candidate] &&
+          RingDistance(keys[candidate], target_) < best_distance) {
+        ++result_.wasted;
+        ++step.dead_probes;
+      }
+    });
   }
   current_ = best;
   ++result_.hops;
@@ -122,10 +133,17 @@ void BacktrackingStepper::Start(NetworkView net, PeerId source,
 }
 
 RouteStep BacktrackingStepper::Step(NetworkView net) {
+  return net.Visit([this](const auto& topo) { return StepOn(topo); });
+}
+
+template <typename Backend>
+RouteStep BacktrackingStepper::StepOn(const Backend& topo) {
+  const KeyId* keys = topo.keys_data();
+  const uint8_t* alive = topo.alive_data();
   RouteStep step;
   const PeerId current = stack_.back();
   step.from = current;
-  const auto owner = net.OwnerOf(target_);
+  const auto owner = topo.OwnerOf(target_);
   if (owner.has_value() && current == *owner) {
     result_.success = true;
     result_.terminal = current;
@@ -133,13 +151,10 @@ RouteStep BacktrackingStepper::Step(NetworkView net) {
     step.kind = StepKind::kArrived;
     return step;
   }
-  neighbors_.clear();
-  net.AppendNeighbors(current, &neighbors_);
   ordered_.clear();
-  for (PeerId candidate : neighbors_) {
-    ordered_.emplace_back(RingDistance(net.key(candidate), target_),
-                          candidate);
-  }
+  ForEachNeighbor(topo, current, [&](PeerId candidate) {
+    ordered_.emplace_back(RingDistance(keys[candidate], target_), candidate);
+  });
   std::sort(ordered_.begin(), ordered_.end());
 
   PeerId next = current;
@@ -147,7 +162,7 @@ RouteStep BacktrackingStepper::Step(NetworkView net) {
   for (const auto& [distance, candidate] : ordered_) {
     (void)distance;
     if (visited_.count(candidate) != 0) continue;
-    if (!net.alive(candidate)) {
+    if (!alive[candidate]) {
       // First probe of a dead neighbor costs a message; remember it so
       // revisits after backtracking don't double-charge.
       if (probed_dead_.insert(candidate).second) {
@@ -215,6 +230,11 @@ bool BacktrackingStepper::FailDelivery(NetworkView net) {
   result_.terminal = stack_.back();
   return true;
 }
+
+template RouteStep GreedyStepper::StepOn(const Network&);
+template RouteStep GreedyStepper::StepOn(const TopologySnapshot&);
+template RouteStep BacktrackingStepper::StepOn(const Network&);
+template RouteStep BacktrackingStepper::StepOn(const TopologySnapshot&);
 
 Result<RouteStepperPtr> MakeRouteStepper(const std::string& name) {
   if (name == "greedy") {

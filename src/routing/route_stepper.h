@@ -9,6 +9,13 @@
 // driving these steppers to completion with the routers' historical
 // message budgets, so whole-path results are unchanged by construction;
 // the stepper-vs-route equivalence test guards the property.
+//
+// Each algorithm has one step kernel, StepOn<Backend>, templated over
+// the backend type and reading its flat arrays in place (neighbors are
+// iterated, never materialized). It is instantiated for the live
+// Network and the frozen TopologySnapshot; Step(NetworkView) picks the
+// backend once per call, and callers that hold a concrete backend for a
+// whole route (the routers, the serving firehose) call StepOn directly.
 
 #ifndef OSCAR_ROUTING_ROUTE_STEPPER_H_
 #define OSCAR_ROUTING_ROUTE_STEPPER_H_
@@ -85,6 +92,9 @@ class GreedyStepper : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
+  /// Step over a concrete backend (Network or TopologySnapshot).
+  template <typename Backend>
+  RouteStep StepOn(const Backend& topo);
   bool done() const override { return done_; }
   void Abandon(NetworkView net) override;
   bool FailDelivery(NetworkView net) override;
@@ -92,14 +102,11 @@ class GreedyStepper : public RouteStepper {
   PeerId current() const override { return current_; }
   std::string name() const override { return "greedy"; }
 
- protected:
-  // Shared with CsrGreedyStepper (routing/csr_stepper.h), which reuses
-  // Start/Abandon/FailDelivery and overrides only the hot Step.
+ private:
   RouteResult result_;
   KeyId target_;
   PeerId current_ = 0;
   bool done_ = true;
-  std::vector<PeerId> neighbors_;  // Scratch, reused across steps.
 };
 
 /// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
@@ -108,6 +115,9 @@ class BacktrackingStepper : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
+  /// Step over a concrete backend (Network or TopologySnapshot).
+  template <typename Backend>
+  RouteStep StepOn(const Backend& topo);
   bool done() const override { return done_; }
   void Abandon(NetworkView net) override;
   bool FailDelivery(NetworkView net) override;
@@ -117,8 +127,7 @@ class BacktrackingStepper : public RouteStepper {
   }
   std::string name() const override { return "backtracking"; }
 
- protected:
-  // Shared with CsrBacktrackingStepper (routing/csr_stepper.h).
+ private:
   RouteResult result_;
   KeyId target_;
   PeerId source_ = 0;
@@ -126,7 +135,6 @@ class BacktrackingStepper : public RouteStepper {
   std::unordered_set<PeerId> visited_;
   std::unordered_set<PeerId> probed_dead_;
   std::vector<PeerId> stack_;
-  std::vector<PeerId> neighbors_;  // Scratch.
   std::vector<std::pair<uint64_t, PeerId>> ordered_;  // Scratch.
 };
 

@@ -3,23 +3,19 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "core/topology_snapshot.h"
 
 namespace oscar {
 namespace {
 
-/// Gap-window span over a frozen snapshot: the same successor chain as
-/// the generic loop below, but walking precomputed ring positions
-/// directly (one modular increment per hop) instead of an optional-
-/// wrapped SuccessorOf per peer. Returns the summed clockwise span of
-/// `window` successor gaps starting at `origin`, or 0 when the origin
-/// is dead or the ring is degenerate — exactly the generic outcomes.
-uint64_t GapSpanCsr(const TopologySnapshot& snap, PeerId origin,
-                    uint32_t window) {
-  const Ring& ring = snap.ring();
+/// Summed clockwise span of `window` successor gaps starting at
+/// `origin`, walking ring positions directly (one modular increment per
+/// hop); 0 when the origin is dead or the ring is degenerate.
+template <typename Backend>
+uint64_t GapSpan(const Backend& topo, PeerId origin, uint32_t window) {
+  const Ring& ring = topo.ring();
   const size_t n = ring.size();
-  uint32_t pos = snap.ring_pos(origin);
-  if (n < 2 || pos == TopologySnapshot::kNotOnRing) return 0;
+  uint32_t pos = topo.ring_pos(origin);
+  if (n < 2 || pos == Network::kNotOnRing) return 0;
   uint64_t span = 0;
   for (uint32_t i = 0; i < window; ++i) {
     const uint32_t next = static_cast<uint32_t>((pos + 1) % n);
@@ -46,18 +42,8 @@ double GapSizeEstimator::Estimate(NetworkView net, PeerId origin,
   if (alive < 2) return 1.0;
   const uint32_t window =
       static_cast<uint32_t>(std::min<size_t>(window_, alive - 1));
-  uint64_t span = 0;
-  if (net.snapshot() != nullptr) {
-    span = GapSpanCsr(*net.snapshot(), origin, window);
-  } else {
-    PeerId current = origin;
-    for (uint32_t i = 0; i < window; ++i) {
-      const auto next = net.SuccessorOf(current);
-      if (!next.has_value()) break;
-      span += ClockwiseDistance(net.key(current), net.key(*next));
-      current = *next;
-    }
-  }
+  const uint64_t span = net.Visit(
+      [&](const auto& topo) { return GapSpan(topo, origin, window); });
   if (span == 0) return static_cast<double>(alive);
   const double span_fraction =
       static_cast<double>(span) / 18446744073709551616.0;

@@ -39,6 +39,9 @@ struct NetworkTestAccess {
   static void CorruptKey(Network* net, PeerId id) {
     net->keys_[id] = KeyId::FromRaw(net->keys_[id].raw + 1);
   }
+  static void SetRingPos(Network* net, PeerId id, uint32_t pos) {
+    net->ring_pos_[id] = pos;
+  }
   static uint32_t out_count(const Network& net, PeerId id) {
     return net.out_count_[id];
   }
@@ -204,6 +207,21 @@ TEST(NetworkInvariants, DetectRingKeyMismatch) {
   EXPECT_FALSE(net.CheckInvariants().ok());
 }
 
+TEST(NetworkInvariants, DetectRingPosDrift) {
+  Network net = LinkedNetwork(60, 43);
+  const PeerId victim = net.AlivePeers().front();
+  // An alive peer's position no longer points back at its ring entry.
+  NetworkTestAccess::SetRingPos(&net, victim, net.ring_pos(victim) + 1);
+  EXPECT_FALSE(net.CheckInvariants().ok()) << "alive peer";
+  // A dead peer that still claims a ring position.
+  Network crashed = LinkedNetwork(60, 43);
+  const PeerId dead = crashed.AlivePeers().back();
+  crashed.Crash(dead);
+  ASSERT_TRUE(crashed.CheckInvariants().ok());
+  NetworkTestAccess::SetRingPos(&crashed, dead, 0);
+  EXPECT_FALSE(crashed.CheckInvariants().ok()) << "dead peer";
+}
+
 TEST(SnapshotValidate, PassesOnHealthySnapshots) {
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     Network net = LinkedNetwork(200, seed);
@@ -278,6 +296,13 @@ TEST(RestoreIdentity, DetectsDivergence) {
   const PeerId victim = PeerWithLiveOutLink(scratch);
   NetworkTestAccess::SetOutSlabEntry(&scratch, victim, 0, victim);
   EXPECT_FALSE(snap.CheckRestoreIdentity(scratch).ok());
+
+  Network drifted;
+  snap.RestoreInto(&drifted);
+  ASSERT_TRUE(snap.CheckRestoreIdentity(drifted).ok());
+  const PeerId peer = drifted.AlivePeers().front();
+  NetworkTestAccess::SetRingPos(&drifted, peer, drifted.ring_pos(peer) + 1);
+  EXPECT_FALSE(snap.CheckRestoreIdentity(drifted).ok()) << "ring_pos";
 }
 
 // The audited pipelines must not perturb results: the audit reads
