@@ -13,7 +13,6 @@
 #include "sampling/oracle_sampler.h"
 #include "sampling/random_walk_sampler.h"
 #include "churn/churn.h"
-#include "core/topology_snapshot.h"
 
 namespace oscar {
 namespace {
@@ -84,17 +83,11 @@ void BM_BacktrackingRouteUnderChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_BacktrackingRouteUnderChurn);
 
-// Backend parity: the same walk and the same backtracking route over a
-// live Network and over its frozen snapshot run the one flat kernel, so
-// the /live and /snapshot rows of each pair should stay close. A widening
-// gap means one backend's read surface regressed.
-
 // One rejection walk of exactly 64 steps per iteration: the segment is
 // almost the whole ring, so the first membership test (after the burn-in)
 // always succeeds.
-void BM_WalkStep(benchmark::State& state, bool frozen) {
+void BM_WalkStep(benchmark::State& state) {
   const Network net = MakeLinkedNetwork(10000, 20);
-  const TopologySnapshot snap(net);
   RandomWalkOptions options;
   options.burn_in = 64;
   const RandomWalkSegmentSampler sampler(options);
@@ -103,35 +96,29 @@ void BM_WalkStep(benchmark::State& state, bool frozen) {
   for (auto _ : state) {
     const PeerId origin =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    auto s = frozen ? sampler.SampleInSegment(snap, origin, KeyId::FromRaw(0),
-                                              KeyId::FromRaw(UINT64_MAX), &rng)
-                    : sampler.SampleInSegment(net, origin, KeyId::FromRaw(0),
-                                              KeyId::FromRaw(UINT64_MAX), &rng);
+    auto s = sampler.SampleInSegment(net, origin, KeyId::FromRaw(0),
+                                     KeyId::FromRaw(UINT64_MAX), &rng);
     benchmark::DoNotOptimize(s);
   }
 }
-BENCHMARK_CAPTURE(BM_WalkStep, live, false);
-BENCHMARK_CAPTURE(BM_WalkStep, snapshot, true);
+BENCHMARK(BM_WalkStep);
 
-void BM_BacktrackingRoute(benchmark::State& state, bool frozen) {
+void BM_BacktrackingRoute(benchmark::State& state) {
   Network net = MakeLinkedNetwork(10000, 22);
   Rng churn_rng(23);
   (void)CrashFraction(&net, 0.15, &churn_rng);
-  const TopologySnapshot snap(net);
   const BacktrackingRouter router;
   const std::vector<PeerId> peers = net.AlivePeers();
   Rng rng(24);
   for (auto _ : state) {
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    const KeyId target = KeyId::FromUnit(rng.NextDouble());
-    const RouteResult r = frozen ? router.Route(snap, source, target)
-                                 : router.Route(net, source, target);
+    const RouteResult r =
+        router.Route(net, source, KeyId::FromUnit(rng.NextDouble()));
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK_CAPTURE(BM_BacktrackingRoute, live, false);
-BENCHMARK_CAPTURE(BM_BacktrackingRoute, snapshot, true);
+BENCHMARK(BM_BacktrackingRoute);
 
 void BM_OracleSegmentSample(benchmark::State& state) {
   Network net = MakeLinkedNetwork(10000, 10);

@@ -35,6 +35,19 @@ expect_reject() {
   fi
 }
 
+# expect_exit2 <label> <args...>: exit must be 2 (an infrastructure
+# error such as an unwritable trace path; no usage line is required).
+expect_exit2() {
+  local label="$1"
+  shift
+  local status=0
+  "${serve}" "$@" >/dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "FAIL ${label}: exit=${status}, want 2 (args: $*)" >&2
+    fail=1
+  fi
+}
+
 # expect_ok <label> <args...>: exit must be 0.
 expect_ok() {
   local label="$1"
@@ -70,6 +83,8 @@ expect_reject "duplicate --trace-file"    --trace-file=a.csv --trace-file=b.csv
 expect_reject "bogus --trace-format"      --trace-file=a --trace-format=xml
 expect_reject "--trace-format alone"      --trace-format=csv
 expect_reject "negative --queue-cadence-ms" --queue-cadence-ms=-1
+expect_reject "bare --trace-file"         --trace-file
+expect_exit2 "unwritable --trace-file"   --trace-file=/nonexistent-dir/x.otrace
 
 expect_ok "--help exits 0"           --help
 expect_ok "--list-policies exits 0"  --list-policies

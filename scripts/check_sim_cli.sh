@@ -33,6 +33,19 @@ expect_reject() {
   fi
 }
 
+# expect_exit2 <label> <args...>: exit must be 2 (an infrastructure
+# error such as an unwritable trace path; no usage line is required).
+expect_exit2() {
+  local label="$1"
+  shift
+  local status=0
+  "${sim}" "$@" >/dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "FAIL ${label}: exit=${status}, want 2 (args: $*)" >&2
+    fail=1
+  fi
+}
+
 # expect_ok <label> <args...>: exit must be 0.
 expect_ok() {
   local label="$1"
@@ -70,6 +83,7 @@ expect_reject "unknown flag"                    --frobnicate
 expect_reject "unknown scenario"                no-such-scenario
 expect_reject "unknown scenario after valid"    baseline no-such-scenario
 expect_reject "unknown name in --scenarios"     --scenarios=baseline,no-such-scenario
+expect_exit2 "unwritable --trace-file"         --trace-file=/nonexistent-dir/x.otrace
 
 expect_ok "--help exits 0"  --help
 expect_ok "--list exits 0"  --list

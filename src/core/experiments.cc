@@ -162,14 +162,12 @@ Result<std::vector<SearchCostRow>> RunSearchCostVsSize(
       // between churn levels are then structural, not sampling noise.
       const uint64_t eval_seed = rng->Next();
       // One freeze serves every row: the 0% row routes straight over
-      // the frozen snapshot (identical routes on either backend), and
-      // each churn level crashes a delta-restore of it — RestoreInto
-      // repairs only the peers the previous level's crashes touched,
-      // and CrashFraction batches its ring removals — then refreezes
-      // the crashed scratch so the evaluation reads packed CSR rows.
-      // Every row stays byte-identical to the historical deep-copy
-      // evaluation (guarded by topology_snapshot_test and
-      // stepper_backend_test).
+      // the frozen snapshot, and each churn level crashes a
+      // delta-restore of it — RestoreInto repairs only the peers the
+      // previous level's crashes touched, and CrashFraction batches its
+      // ring removals — and routes over the crashed scratch. Every row
+      // stays byte-identical to the historical deep-copy evaluation
+      // (guarded by topology_snapshot_test and backend_equivalence_test).
       std::optional<TopologySnapshot> frozen;
       Network scratch;  // Recycled across churn levels via RestoreInto.
       for (const double churn : churn_fractions) {
@@ -203,8 +201,7 @@ Result<std::vector<SearchCostRow>> RunSearchCostVsSize(
           Rng crash_rng(eval_seed);
           auto crash_result = CrashFraction(&scratch, churn, &crash_rng);
           if (!crash_result.ok()) return crash_result.status();
-          const TopologySnapshot crashed(scratch);
-          eval = EvaluateSearch(crashed, BacktrackingRouter(), search,
+          eval = EvaluateSearch(scratch, BacktrackingRouter(), search,
                                 &query_rng);
         }
         row.avg_cost = eval.avg_cost;

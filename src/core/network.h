@@ -14,11 +14,11 @@
 // This is what keeps million-peer growth cache-dense; the per-peer
 // std::vector layout it replaces spent its time in allocator traffic.
 //
-// The read surface is the same flat one a frozen TopologySnapshot
-// offers (keys_data/alive_data/caps_data, OutLinks/InLinks rows and an
-// O(1) ring_pos index), so the walk, routing and gap-span kernels are
-// written once as templates over the backend type and run unchanged on
-// either. ring_pos_ is maintained eagerly by every mutator — const
+// The read surface is flat (keys_data/alive_data/caps_data,
+// OutLinks/InLinks rows and an O(1) ring_pos index), and a frozen
+// TopologySnapshot is a copy of this same table, so the walk, routing
+// and gap-span kernels are plain functions over `const Network&` that
+// serve both. ring_pos_ is maintained eagerly by every mutator — const
 // reads never write, so concurrent readers stay safe.
 
 #ifndef OSCAR_CORE_NETWORK_H_
@@ -43,8 +43,8 @@ struct DegreeCaps {
   uint32_t max_out = 0;
 };
 
-/// Non-owning view of a contiguous run of peer ids (a slab region, a
-/// CSR row). C++17 stand-in for std::span.
+/// Non-owning view of a contiguous run of peer ids (the live prefix of
+/// a slab row). C++17 stand-in for std::span.
 struct PeerSpan {
   const PeerId* ptr = nullptr;
   size_t count = 0;
@@ -140,7 +140,7 @@ class Network {
     return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/false);
   }
 
-  // ---- Flat read surface (same names as TopologySnapshot's) ---------
+  // ---- Flat read surface -------------------------------------------
   // Raw parallel arrays indexed by PeerId < size(). Valid until the next
   // Join/JoinMany (the arrays may grow and move).
   const KeyId* keys_data() const { return keys_.data(); }
@@ -206,11 +206,10 @@ class Network {
   // detects each violation class (there is no public path to an invalid
   // network — that is the point of the invariants).
   friend struct NetworkTestAccess;
-  // TopologySnapshot::Restore() rebuilds the peer table and ring index
-  // directly from its flat arrays (Join/AddLongLink cannot recreate
-  // dead peers or dangling links), and RestoreInto() drives the
-  // mutation journal below to repair only the peers touched since the
-  // last restore.
+  // TopologySnapshot freezes a copy of this table without the journal
+  // (Join/AddLongLink cannot recreate dead peers or dangling links),
+  // and its RestoreInto() drives the mutation journal below to repair
+  // only the peers touched since the last restore.
   friend class TopologySnapshot;
 
   /// Appends one row to every parallel array (no ring insert).

@@ -105,15 +105,14 @@ Status Simulation::RewireAllPeers(size_t checkpoint_index, uint32_t threads,
   // partitions now that N has changed since they joined.
   if (config_.overlay->SupportsPlanning()) {
     // Batch path, modelling peers that rewire concurrently from what
-    // they observe: freeze the pre-checkpoint topology once, plan every
-    // peer's cuts and links read-only over the frozen snapshot, then
-    // clear and apply (salt-shuffled order, see below). One salt draw
-    // keeps the growth
-    // stream advancing identically regardless of N or thread count;
-    // each peer's plan runs on its own Fork()ed stream, so the plan set
-    // is independent of scheduling — byte-identical at any OSCAR_THREADS.
+    // they observe: plan every peer's cuts and links read-only over the
+    // pre-checkpoint topology (network_ is not mutated until every plan
+    // is drawn), then clear and apply (salt-shuffled order, see below).
+    // One salt draw keeps the growth stream advancing identically
+    // regardless of N or thread count; each peer's plan runs on its own
+    // Fork()ed stream, so the plan set is independent of scheduling —
+    // byte-identical at any OSCAR_THREADS.
     const uint64_t rewire_salt = rng->Next();
-    const TopologySnapshot frozen(network_);
     const std::vector<PeerId> peers = network_.AlivePeers();
     std::vector<PeerLinkPlan> plans(peers.size());
     const Overlay& overlay = *config_.overlay;
@@ -125,7 +124,7 @@ Status Simulation::RewireAllPeers(size_t checkpoint_index, uint32_t threads,
     ParallelFor(threads, peers.size(), [&](size_t i) {
       Rng peer_rng = Rng::Fork(rewire_salt ^ kPlanStreamSalt,
                                checkpoint_index, peers[i]);
-      plans[i] = overlay.PlanLinks(frozen, peers[i], &peer_rng);
+      plans[i] = overlay.PlanLinks(network_, peers[i], &peer_rng);
     });
     network_.ClearAllLongLinks();
     // Apply in a salt-shuffled (deterministic) order: ring order would

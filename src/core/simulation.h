@@ -57,7 +57,7 @@ struct SearchEvaluation {
 
 /// Routes queries from random alive sources and aggregates costs.
 /// Takes the topology through NetworkView, so the churn figure can
-/// evaluate its crash levels over frozen snapshots.
+/// evaluate over a frozen snapshot or a crashed restore of one.
 SearchEvaluation EvaluateSearch(NetworkView net, const Router& router,
                                 const SearchOptions& options, Rng* rng);
 

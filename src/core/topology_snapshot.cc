@@ -7,12 +7,6 @@
 namespace oscar {
 namespace {
 
-// 32 -> 64-bit promotion threshold for CSR offsets. Edge totals at or
-// below it store 32-bit offsets; above it the snapshot promotes to
-// 64-bit storage. Test-settable so the wide path can be exercised
-// without building 4 billion edges.
-std::atomic<uint64_t> g_wide_threshold{UINT32_MAX};
-
 uint64_t NextSnapshotToken() {
   static std::atomic<uint64_t> counter{0};
   return ++counter;
@@ -20,161 +14,16 @@ uint64_t NextSnapshotToken() {
 
 }  // namespace
 
-uint64_t TopologySnapshot::SetWideOffsetThresholdForTest(uint64_t threshold) {
-  return g_wide_threshold.exchange(threshold);
-}
-
 TopologySnapshot::TopologySnapshot(const Network& net)
-    : keys_(net.keys_),
-      caps_(net.caps_),
-      alive_(net.alive_),
-      ring_(net.ring()),
-      token_(NextSnapshotToken()) {
-  const size_t n = keys_.size();
-  uint64_t total_out = 0, total_in = 0;
-  for (PeerId id = 0; id < n; ++id) {
-    total_out += net.out_count_[id];
-    total_in += net.in_count_[id];
-  }
-  const uint64_t threshold = g_wide_threshold.load(std::memory_order_relaxed);
-  wide_ = total_out > threshold || total_in > threshold;
-  out_edges_.reserve(total_out);
-  in_edges_.reserve(total_in);
-  const auto push_offsets = [&](uint64_t out_off, uint64_t in_off) {
-    if (wide_) {
-      out_offsets64_.push_back(out_off);
-      in_offsets64_.push_back(in_off);
-    } else {
-      out_offsets32_.push_back(static_cast<uint32_t>(out_off));
-      in_offsets32_.push_back(static_cast<uint32_t>(in_off));
-    }
-  };
-  if (wide_) {
-    out_offsets64_.reserve(n + 1);
-    in_offsets64_.reserve(n + 1);
-  } else {
-    out_offsets32_.reserve(n + 1);
-    in_offsets32_.reserve(n + 1);
-  }
-  push_offsets(0, 0);
-  for (PeerId id = 0; id < n; ++id) {
-    // Pack each peer's live slab prefix; the unused slab tail (capacity
-    // beyond count) is dropped — snapshots are exactly-sized.
-    const PeerSpan out = net.OutLinks(id);
-    out_edges_.insert(out_edges_.end(), out.begin(), out.end());
-    const PeerSpan in = net.InLinks(id);
-    in_edges_.insert(in_edges_.end(), in.begin(), in.end());
-    push_offsets(out_edges_.size(), in_edges_.size());
-  }
-  ring_pos_ = net.ring_pos_;
-}
-
-Status TopologySnapshot::Validate() const {
-  const size_t n = keys_.size();
-  if (caps_.size() != n || alive_.size() != n || ring_pos_.size() != n) {
-    return Status::Error("snapshot parallel arrays out of lockstep");
-  }
-  // Exactly one offset width is populated, matching `wide_`.
-  if (wide_) {
-    if (out_offsets64_.size() != n + 1 || in_offsets64_.size() != n + 1 ||
-        !out_offsets32_.empty() || !in_offsets32_.empty()) {
-      return Status::Error("wide snapshot carries 32-bit offsets");
-    }
-  } else {
-    if (out_offsets32_.size() != n + 1 || in_offsets32_.size() != n + 1 ||
-        !out_offsets64_.empty() || !in_offsets64_.empty()) {
-      return Status::Error("narrow snapshot carries 64-bit offsets");
-    }
-  }
-  const CsrOffsets out_off = out_offsets();
-  const CsrOffsets in_off = in_offsets();
-  if (out_off[0] != 0 || in_off[0] != 0) {
-    return Status::Error("CSR offsets do not start at 0");
-  }
-  if (out_off[n] != out_edges_.size() || in_off[n] != in_edges_.size()) {
-    return Status::Error("CSR offsets not closed by the edge totals");
-  }
-  size_t alive_total = 0;
-  for (PeerId id = 0; id < n; ++id) {
-    if (alive_[id] != 0 && alive_[id] != 1) {
-      return Status::Error("alive flag not 0/1 at peer " + std::to_string(id));
-    }
-    alive_total += alive_[id];
-    if (out_off[id + 1] < out_off[id] || in_off[id + 1] < in_off[id]) {
-      return Status::Error("CSR offsets not monotone at peer " +
-                           std::to_string(id));
-    }
-    const uint64_t out_len = out_off[id + 1] - out_off[id];
-    const uint64_t in_len = in_off[id + 1] - in_off[id];
-    if (out_len > caps_[id].max_out || in_len > caps_[id].max_in) {
-      return Status::Error("CSR row exceeds declared cap at peer " +
-                           std::to_string(id));
-    }
-    if (!alive_[id] && (out_len != 0 || in_len != 0)) {
-      return Status::Error("dead peer holds CSR rows at peer " +
-                           std::to_string(id));
-    }
-    const PeerSpan out = OutLinks(id);
-    for (PeerId target : out) {
-      if (target >= n) {
-        return Status::Error("out-edge beyond peer table at peer " +
-                             std::to_string(id));
-      }
-      if (target == id) {
-        return Status::Error("self edge at peer " + std::to_string(id));
-      }
-      // Dangling edges to dead targets are legal (frozen mid-churn);
-      // live ones must be mirrored in the target's in row.
-      if (alive_[target]) {
-        const PeerSpan in = InLinks(target);
-        if (std::count(in.begin(), in.end(), id) != 1) {
-          return Status::Error("out-edge not mirrored exactly once, peer " +
-                               std::to_string(id));
-        }
-      }
-    }
-    const PeerSpan in = InLinks(id);
-    for (PeerId holder : in) {
-      if (holder >= n || !alive_[holder]) {
-        return Status::Error("in-edge from dead holder at peer " +
-                             std::to_string(id));
-      }
-      const PeerSpan holder_out = OutLinks(holder);
-      if (std::find(holder_out.begin(), holder_out.end(), id) ==
-          holder_out.end()) {
-        return Status::Error("in-edge without matching out-edge at peer " +
-                             std::to_string(id));
-      }
-    }
-  }
-  // Ring and ring_pos_ agree with the peer table: exactly the alive
-  // peers, sorted, each position index pointing back at its entry.
-  if (ring_.size() != alive_total) {
-    return Status::Error("ring size != alive peer count");
-  }
-  for (size_t pos = 0; pos < ring_.size(); ++pos) {
-    const Ring::Entry& entry = ring_.at(pos);
-    if (entry.id >= n || !alive_[entry.id] ||
-        entry.key_raw != keys_[entry.id].raw) {
-      return Status::Error("ring entry disagrees with peer table");
-    }
-    if (ring_pos_[entry.id] != pos) {
-      return Status::Error("ring_pos does not point back at ring entry");
-    }
-    if (pos > 0 && !(ring_.at(pos - 1) < entry)) {
-      return Status::Error("ring entries out of (key, id) order");
-    }
-  }
-  for (PeerId id = 0; id < n; ++id) {
-    if (!alive_[id] && ring_pos_[id] != kNotOnRing) {
-      return Status::Error("dead peer carries a ring position");
-    }
-  }
-  return Status::Ok();
+    : frozen_(net), token_(NextSnapshotToken()) {
+  // A snapshot is never mutated, so it carries no journal of its own.
+  frozen_.restore_token_ = 0;
+  frozen_.journal_active_ = false;
+  frozen_.journal_ = {};
 }
 
 Status TopologySnapshot::CheckRestoreIdentity(const Network& net) const {
-  const Network full = Restore();
+  const Network& full = frozen_;
   const size_t n = full.keys_.size();
   if (net.keys_.size() != n) {
     return Status::Error("restored network has wrong peer count");
@@ -211,10 +60,10 @@ Status TopologySnapshot::CheckRestoreIdentity(const Network& net) const {
     }
   }
   if (net.ring_.entries() != full.ring_.entries()) {
-    return Status::Error("restored ring diverges from full restore");
+    return Status::Error("restored ring diverges from the snapshot");
   }
   if (net.ring_pos_ != full.ring_pos_) {
-    return Status::Error("restored ring_pos diverges from full restore");
+    return Status::Error("restored ring_pos diverges from the snapshot");
   }
   return Status::Ok();
 }
@@ -226,22 +75,8 @@ Network TopologySnapshot::Restore() const {
 }
 
 void TopologySnapshot::RestoreInto(Network* net) const {
-  const size_t n = size();
-  // Repair one peer's row from the flat arrays. Caps are immutable per
-  // peer, so an id's slab region is the same in every restore of the
-  // same snapshot — a repair is two row copies plus scalar stores.
-  const auto repair = [&](PeerId id) {
-    net->keys_[id] = keys_[id];
-    net->caps_[id] = caps_[id];
-    net->alive_[id] = alive_[id];
-    const PeerSpan out = OutLinks(id);
-    std::copy(out.begin(), out.end(),
-              net->out_slab_.data() + net->out_base_[id]);
-    net->out_count_[id] = static_cast<uint32_t>(out.size());
-    const PeerSpan in = InLinks(id);
-    std::copy(in.begin(), in.end(), net->in_slab_.data() + net->in_base_[id]);
-    net->in_count_[id] = static_cast<uint32_t>(in.size());
-  };
+  const Network& src = frozen_;
+  const size_t n = src.size();
   const bool delta = token_ != 0 && net->restore_token_ == token_ &&
                      net->journal_active_ && net->keys_.size() >= n &&
                      net->journal_.size() < n;
@@ -258,35 +93,30 @@ void TopologySnapshot::RestoreInto(Network* net) const {
     net->in_count_.resize(n);
     net->out_slab_.resize(net->out_base_[n]);
     net->in_slab_.resize(net->in_base_[n]);
-    std::sort(net->journal_.begin(), net->journal_.end());
-    net->journal_.erase(
-        std::unique(net->journal_.begin(), net->journal_.end()),
-        net->journal_.end());
-    for (PeerId id : net->journal_) {
-      if (id < n) repair(id);  // >= n: joined peers, already dropped.
+    std::vector<PeerId>& journal = net->journal_;
+    std::sort(journal.begin(), journal.end());
+    journal.erase(std::unique(journal.begin(), journal.end()), journal.end());
+    // Both sides share one slab layout, so a repair is two row copies
+    // plus scalar stores.
+    for (PeerId id : journal) {
+      if (id >= n) continue;  // Joined peers, already dropped.
+      net->keys_[id] = src.keys_[id];
+      net->caps_[id] = src.caps_[id];
+      net->alive_[id] = src.alive_[id];
+      net->out_count_[id] = src.out_count_[id];
+      net->in_count_[id] = src.in_count_[id];
+      const PeerSpan out = src.OutLinks(id);
+      std::copy(out.begin(), out.end(),
+                net->out_slab_.data() + net->out_base_[id]);
+      const PeerSpan in = src.InLinks(id);
+      std::copy(in.begin(), in.end(), net->in_slab_.data() + net->in_base_[id]);
     }
+    net->ring_ = src.ring_;
+    net->ring_pos_ = src.ring_pos_;
   } else {
-    // Full rebuild: bulk array copies (reusing `net`'s allocations when
-    // they are large enough) plus a prefix-sum pass to lay out slabs.
-    net->keys_ = keys_;
-    net->caps_ = caps_;
-    net->alive_ = alive_;
-    net->out_base_.resize(n + 1);
-    net->in_base_.resize(n + 1);
-    net->out_base_[0] = 0;
-    net->in_base_[0] = 0;
-    for (size_t i = 0; i < n; ++i) {
-      net->out_base_[i + 1] = net->out_base_[i] + caps_[i].max_out;
-      net->in_base_[i + 1] = net->in_base_[i] + caps_[i].max_in;
-    }
-    net->out_count_.resize(n);
-    net->in_count_.resize(n);
-    net->out_slab_.resize(net->out_base_[n]);
-    net->in_slab_.resize(net->in_base_[n]);
-    for (PeerId id = 0; id < n; ++id) repair(id);
+    // Full copy, reusing `net`'s allocations when they are large enough.
+    *net = src;
   }
-  net->ring_ = ring_;
-  net->ring_pos_ = ring_pos_;
   net->restore_token_ = token_;
   net->journal_active_ = true;
   net->journal_.clear();

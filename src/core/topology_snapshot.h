@@ -1,25 +1,19 @@
-// TopologySnapshot: an immutable, cache-friendly freeze of a Network's
-// read state. Peer attributes live in flat parallel arrays and both
-// link directions are CSR-packed (offsets + one contiguous edge array),
-// so a snapshot is one allocation-light pass to build, cheap to copy,
-// and safe to share across threads or scenario replays. Restore()
-// materializes a fresh mutable Network that is structurally identical
-// to the one the snapshot was taken from — the substrate for replaying
-// many crash/churn variants against one grown topology instead of
-// regrowing or deep-copying it.
-//
-// CSR offsets are 32-bit by default (cache-dense; every practical tier
-// fits) and promote to 64-bit storage when an edge total crosses
-// kWideOffsetThreshold — the guard that used to abort a >4B-edge build
-// now just widens the offsets instead.
+// TopologySnapshot: an immutable freeze of a Network. It holds a copy
+// of the network's own peer table — the same struct-of-arrays layout,
+// cap-sized slab rows and O(1) ring position index — with no mutation
+// journal, so every read-side consumer runs over it unchanged (a
+// snapshot converts to `const Network&`), it is one bulk copy to build,
+// and it is safe to share across threads or scenario replays.
+// Restore() materializes a fresh mutable Network that is structurally
+// identical to the one the snapshot was taken from — the substrate for
+// replaying many crash/churn variants against one grown topology
+// instead of regrowing or deep-copying it.
 
 #ifndef OSCAR_CORE_TOPOLOGY_SNAPSHOT_H_
 #define OSCAR_CORE_TOPOLOGY_SNAPSHOT_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "common/status.h"
 #include "core/key_id.h"
@@ -31,56 +25,21 @@ namespace oscar {
 class TopologySnapshot {
  public:
   TopologySnapshot() = default;
-  /// Freezes `net` in one pass over its flat peer table (bulk copies of
-  /// the key/caps/alive arrays, slab rows packed into CSR).
+  /// Freezes `net`: one copy of its peer table, slabs and ring index.
   explicit TopologySnapshot(const Network& net);
 
-  size_t size() const { return keys_.size(); }
-  size_t alive_count() const { return ring_.size(); }
-  KeyId key(PeerId id) const { return keys_[id]; }
-  bool alive(PeerId id) const { return alive_[id] != 0; }
-  DegreeCaps caps(PeerId id) const { return caps_[id]; }
-  const Ring& ring() const { return ring_; }
+  /// The frozen network. Implicit so a snapshot goes wherever a
+  /// read-only `const Network&` (NetworkView) is taken.
+  const Network& network() const { return frozen_; }
+  operator const Network&() const { return frozen_; }  // NOLINT
 
-  /// Dual-width CSR offset view: one predictable branch selects the
-  /// 32-bit (default) or promoted 64-bit array. OutLinks/InLinks index
-  /// it per row read; the branch is free next to the cache miss on the
-  /// edge row.
-  struct CsrOffsets {
-    const uint32_t* narrow = nullptr;
-    const uint64_t* wide = nullptr;
-    uint64_t operator[](size_t i) const {
-      return narrow != nullptr ? narrow[i] : wide[i];
-    }
-  };
-
-  /// Long out-links of `id`, in the exact order the live Network held
-  /// them (possibly dangling to dead peers). In-links are the alive
-  /// peers that held a link to `id` at freeze time.
-  PeerSpan OutLinks(PeerId id) const {
-    const CsrOffsets offsets = out_offsets();
-    const uint64_t begin = offsets[id];
-    return {out_edges_.data() + begin,
-            static_cast<size_t>(offsets[id + 1] - begin)};
-  }
-  PeerSpan InLinks(PeerId id) const {
-    const CsrOffsets offsets = in_offsets();
-    const uint64_t begin = offsets[id];
-    return {in_edges_.data() + begin,
-            static_cast<size_t>(offsets[id + 1] - begin)};
-  }
-
-  std::optional<PeerId> OwnerOf(KeyId key) const { return ring_.OwnerOf(key); }
-
-  /// Ring neighbors, identical semantics to Network::SuccessorOf /
-  /// PredecessorOf and the same O(1) lookup through the ring position
-  /// frozen from the network's index.
-  std::optional<PeerId> SuccessorOf(PeerId id) const {
-    return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/true);
-  }
-  std::optional<PeerId> PredecessorOf(PeerId id) const {
-    return ring_.NeighborAt(ring_pos_[id], /*clockwise=*/false);
-  }
+  size_t size() const { return frozen_.size(); }
+  KeyId key(PeerId id) const { return frozen_.key(id); }
+  bool alive(PeerId id) const { return frozen_.alive(id); }
+  DegreeCaps caps(PeerId id) const { return frozen_.caps(id); }
+  const Ring& ring() const { return frozen_.ring(); }
+  PeerSpan OutLinks(PeerId id) const { return frozen_.OutLinks(id); }
+  PeerSpan InLinks(PeerId id) const { return frozen_.InLinks(id); }
 
   /// Materializes a mutable Network structurally identical to the one
   /// this snapshot froze (peer order, link order, ring index). A
@@ -90,7 +49,7 @@ class TopologySnapshot {
 
   /// Restore() into a caller-owned Network, arming its mutation
   /// journal. The first call (or a call on a network restored from a
-  /// different snapshot) is a full rebuild that reuses `net`'s existing
+  /// different snapshot) is a full copy that reuses `net`'s existing
   /// allocations; every later call repairs ONLY the peers mutated since
   /// the previous restore — O(touched) instead of O(N) — plus one ring
   /// copy. The result is always structurally identical to Restore()
@@ -99,71 +58,23 @@ class TopologySnapshot {
   /// replays skip rebuilding the untouched bulk of the peer table.
   void RestoreInto(Network* net) const;
 
-  // ---- Flat read surface (same names as Network's) ------------------
-  // Raw flat arrays for the backend-templated walk, step and gap-span
-  // kernels: one load per field, no per-call backend dispatch. Valid
-  // while the snapshot is alive; indices are PeerIds < size().
-  static constexpr uint32_t kNotOnRing = Network::kNotOnRing;
-  const KeyId* keys_data() const { return keys_.data(); }
-  const DegreeCaps* caps_data() const { return caps_.data(); }
-  const uint8_t* alive_data() const { return alive_.data(); }
-  CsrOffsets out_offsets() const {
-    return wide_ ? CsrOffsets{nullptr, out_offsets64_.data()}
-                 : CsrOffsets{out_offsets32_.data(), nullptr};
-  }
-  CsrOffsets in_offsets() const {
-    return wide_ ? CsrOffsets{nullptr, in_offsets64_.data()}
-                 : CsrOffsets{in_offsets32_.data(), nullptr};
-  }
-  /// True when the edge totals crossed the promotion threshold and this
-  /// snapshot stores 64-bit offsets.
-  bool wide_offsets() const { return wide_; }
-  /// Ring position of `id` (kNotOnRing when dead) — the O(1) index
-  /// behind SuccessorOf/PredecessorOf, exposed so the kernels can walk
-  /// the ring without optional-wrapping each neighbor.
-  uint32_t ring_pos(PeerId id) const { return ring_pos_[id]; }
-
-  /// Test hook: lowers the 32 -> 64-bit promotion threshold so the wide
-  /// path can be exercised without materializing 4 billion edges.
-  /// Returns the previous value; pass UINT32_MAX to restore the default.
-  static uint64_t SetWideOffsetThresholdForTest(uint64_t threshold);
-
   /// Deep structural self-check, the snapshot half of the OSCAR_AUDIT
-  /// layer (common/audit.h): CSR offsets monotone and closed by the
-  /// edge totals, exactly one offset width populated per `wide_`, row
-  /// lengths within the declared caps, in-edges only from alive
-  /// holders, out->in reciprocity between alive endpoints, and
-  /// ring/ring_pos_ agreement with the peer table. Returns the first
-  /// violation found.
-  Status Validate() const;
+  /// layer (common/audit.h): the frozen table's CheckInvariants().
+  Status Validate() const { return frozen_.CheckInvariants(); }
 
   /// Delta-restore identity audit: verifies `net` (typically produced
   /// by RestoreInto's journal-driven repair path) is structurally
-  /// identical to a fresh full Restore() of this snapshot — the
-  /// equivalence the mutation journal promises. O(N + E): audit-only,
-  /// called behind OSCAR_AUDIT at restore granularity.
+  /// identical to the frozen network — the equivalence the mutation
+  /// journal promises. O(N + E): audit-only, called behind OSCAR_AUDIT
+  /// at restore granularity.
   Status CheckRestoreIdentity(const Network& net) const;
 
  private:
-  // audit_test corrupts private state to prove Validate() detects each
-  // violation class (no public path builds an invalid snapshot).
+  // audit_test corrupts the frozen table to prove Validate() detects
+  // each violation class (no public path builds an invalid snapshot).
   friend struct TopologySnapshotTestAccess;
 
-  std::vector<KeyId> keys_;
-  std::vector<DegreeCaps> caps_;
-  std::vector<uint8_t> alive_;
-  // CSR link storage: row i spans [offsets[i], offsets[i + 1]). Exactly
-  // one of the 32/64-bit offset arrays is populated, per `wide_`.
-  std::vector<uint32_t> out_offsets32_;
-  std::vector<uint32_t> in_offsets32_;
-  std::vector<uint64_t> out_offsets64_;
-  std::vector<uint64_t> in_offsets64_;
-  std::vector<PeerId> out_edges_;
-  std::vector<PeerId> in_edges_;
-  bool wide_ = false;
-  // Position of each alive peer in ring order (kNotOnRing when dead).
-  std::vector<uint32_t> ring_pos_;
-  Ring ring_;
+  Network frozen_;
   // Identity for delta restores: RestoreInto() only trusts a network's
   // mutation journal when the network was last restored from a snapshot
   // carrying this token (0 = default-constructed, never matches).

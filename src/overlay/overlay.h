@@ -44,13 +44,13 @@ class Overlay {
   virtual Status BuildLinks(Network* net, PeerId id, Rng* rng) = 0;
 
   /// True when PlanLinks is implemented. Checkpoint rewiring then
-  /// freezes the pre-checkpoint topology once and plans every peer
-  /// read-only over it — order-independent and thread-safe — instead
-  /// of rebuilding peers one by one against a half-rewired network.
+  /// plans every peer read-only over the pre-checkpoint topology —
+  /// order-independent and thread-safe — instead of rebuilding peers
+  /// one by one against a half-rewired network.
   virtual bool SupportsPlanning() const { return false; }
 
-  /// Plans `id`'s post-rewire links against `net` (typically a frozen
-  /// TopologySnapshot), assuming all long links will be cleared before
+  /// Plans `id`'s post-rewire links against `net` (the pre-checkpoint
+  /// network, read-only), assuming all long links will be cleared before
   /// the plan is applied. Must be thread-safe: called concurrently for
   /// distinct peers with per-peer forked rngs, and must not mutate
   /// overlay state — sampling spend is returned in the plan and folded

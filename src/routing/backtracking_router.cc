@@ -9,13 +9,10 @@ RouteResult BacktrackingRouter::Route(NetworkView net, PeerId source,
   BacktrackingStepper stepper;
   stepper.Start(net, source, target);
   const size_t max_messages = 8 * net.alive_count() + 64;
-  // One backend dispatch per route; every step runs the flat kernel.
-  net.Visit([&](const auto& topo) {
-    while (!stepper.done() &&
-           stepper.result().hops + stepper.result().wasted < max_messages) {
-      stepper.StepOn(topo);
-    }
-  });
+  while (!stepper.done() &&
+         stepper.result().hops + stepper.result().wasted < max_messages) {
+    stepper.Step(net);
+  }
   if (!stepper.done()) stepper.Abandon(net);
   return stepper.result();
 }

@@ -11,12 +11,9 @@ RouteResult GreedyRouter::Route(NetworkView net, PeerId source,
   // The ring guarantees strict progress, so the only loop bound needed
   // is a generous safety net against substrate bugs.
   const size_t max_steps = 4 * net.alive_count() + 16;
-  // One backend dispatch per route; every step runs the flat kernel.
-  net.Visit([&](const auto& topo) {
-    for (size_t step = 0; step < max_steps && !stepper.done(); ++step) {
-      stepper.StepOn(topo);
-    }
-  });
+  for (size_t step = 0; step < max_steps && !stepper.done(); ++step) {
+    stepper.Step(net);
+  }
   if (!stepper.done()) stepper.Abandon(net);
   return stepper.result();
 }

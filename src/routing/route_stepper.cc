@@ -20,17 +20,12 @@ void GreedyStepper::Start(NetworkView net, PeerId source, KeyId target) {
 }
 
 RouteStep GreedyStepper::Step(NetworkView net) {
-  return net.Visit([this](const auto& topo) { return StepOn(topo); });
-}
-
-template <typename Backend>
-RouteStep GreedyStepper::StepOn(const Backend& topo) {
-  const KeyId* keys = topo.keys_data();
-  const uint8_t* alive = topo.alive_data();
-  const DegreeCaps* caps = topo.caps_data();
+  const KeyId* keys = net.keys_data();
+  const uint8_t* alive = net.alive_data();
+  const DegreeCaps* caps = net.caps_data();
   RouteStep step;
   step.from = current_;
-  const auto owner = topo.OwnerOf(target_);
+  const auto owner = net.OwnerOf(target_);
   if (owner.has_value() && current_ == *owner) {
     result_.success = true;
     result_.terminal = current_;
@@ -43,7 +38,7 @@ RouteStep GreedyStepper::StepOn(const Backend& topo) {
   bool saw_dead = false;
   PeerId best = current_;
   uint64_t best_distance = here;
-  ForEachNeighbor(topo, current_, [&](PeerId candidate) {
+  ForEachNeighbor(net, current_, [&](PeerId candidate) {
     if (!alive[candidate]) {  // Dead probes charged lazily below.
       saw_dead = true;
       return;
@@ -69,7 +64,7 @@ RouteStep GreedyStepper::StepOn(const Backend& topo) {
       best_distance + best_distance / 2 < best_distance
           ? UINT64_MAX
           : best_distance + best_distance / 2;
-  ForEachNeighbor(topo, current_, [&](PeerId candidate) {
+  ForEachNeighbor(net, current_, [&](PeerId candidate) {
     if (!alive[candidate] || candidate == best) return;
     const uint64_t d = RingDistance(keys[candidate], target_);
     if (d < here && d <= band && caps[candidate].max_in > caps[best].max_in) {
@@ -80,7 +75,7 @@ RouteStep GreedyStepper::StepOn(const Backend& topo) {
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
   if (saw_dead) {
-    ForEachNeighbor(topo, current_, [&](PeerId candidate) {
+    ForEachNeighbor(net, current_, [&](PeerId candidate) {
       if (!alive[candidate] &&
           RingDistance(keys[candidate], target_) < best_distance) {
         ++result_.wasted;
@@ -133,17 +128,12 @@ void BacktrackingStepper::Start(NetworkView net, PeerId source,
 }
 
 RouteStep BacktrackingStepper::Step(NetworkView net) {
-  return net.Visit([this](const auto& topo) { return StepOn(topo); });
-}
-
-template <typename Backend>
-RouteStep BacktrackingStepper::StepOn(const Backend& topo) {
-  const KeyId* keys = topo.keys_data();
-  const uint8_t* alive = topo.alive_data();
+  const KeyId* keys = net.keys_data();
+  const uint8_t* alive = net.alive_data();
   RouteStep step;
   const PeerId current = stack_.back();
   step.from = current;
-  const auto owner = topo.OwnerOf(target_);
+  const auto owner = net.OwnerOf(target_);
   if (owner.has_value() && current == *owner) {
     result_.success = true;
     result_.terminal = current;
@@ -152,7 +142,7 @@ RouteStep BacktrackingStepper::StepOn(const Backend& topo) {
     return step;
   }
   ordered_.clear();
-  ForEachNeighbor(topo, current, [&](PeerId candidate) {
+  ForEachNeighbor(net, current, [&](PeerId candidate) {
     ordered_.emplace_back(RingDistance(keys[candidate], target_), candidate);
   });
   std::sort(ordered_.begin(), ordered_.end());
@@ -230,11 +220,6 @@ bool BacktrackingStepper::FailDelivery(NetworkView net) {
   result_.terminal = stack_.back();
   return true;
 }
-
-template RouteStep GreedyStepper::StepOn(const Network&);
-template RouteStep GreedyStepper::StepOn(const TopologySnapshot&);
-template RouteStep BacktrackingStepper::StepOn(const Network&);
-template RouteStep BacktrackingStepper::StepOn(const TopologySnapshot&);
 
 Result<RouteStepperPtr> MakeRouteStepper(const std::string& name) {
   if (name == "greedy") {

@@ -10,12 +10,11 @@
 // message budgets, so whole-path results are unchanged by construction;
 // the stepper-vs-route equivalence test guards the property.
 //
-// Each algorithm has one step kernel, StepOn<Backend>, templated over
-// the backend type and reading its flat arrays in place (neighbors are
-// iterated, never materialized). It is instantiated for the live
-// Network and the frozen TopologySnapshot; Step(NetworkView) picks the
-// backend once per call, and callers that hold a concrete backend for a
-// whole route (the routers, the serving firehose) call StepOn directly.
+// Each algorithm has one step kernel, Step, reading the network's flat
+// arrays in place (neighbors are iterated, never materialized); the
+// same code serves a live Network and a frozen TopologySnapshot. Both
+// steppers are final, so callers holding a concrete stepper (the
+// routers, the serving firehose) get a direct, inlinable call.
 
 #ifndef OSCAR_ROUTING_ROUTE_STEPPER_H_
 #define OSCAR_ROUTING_ROUTE_STEPPER_H_
@@ -88,13 +87,10 @@ using RouteStepperPtr = std::unique_ptr<RouteStepper>;
 
 /// The GreedyRouter algorithm, one hop per Step (capacity-aware band
 /// relaxation and lazy dead-probe charging included).
-class GreedyStepper : public RouteStepper {
+class GreedyStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
-  /// Step over a concrete backend (Network or TopologySnapshot).
-  template <typename Backend>
-  RouteStep StepOn(const Backend& topo);
   bool done() const override { return done_; }
   void Abandon(NetworkView net) override;
   bool FailDelivery(NetworkView net) override;
@@ -111,13 +107,10 @@ class GreedyStepper : public RouteStepper {
 
 /// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
 /// one forward or backtrack move per Step.
-class BacktrackingStepper : public RouteStepper {
+class BacktrackingStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
-  /// Step over a concrete backend (Network or TopologySnapshot).
-  template <typename Backend>
-  RouteStep StepOn(const Backend& topo);
   bool done() const override { return done_; }
   void Abandon(NetworkView net) override;
   bool FailDelivery(NetworkView net) override;

@@ -3,9 +3,9 @@
 // and backtracking moves are charged as `wasted` traffic so the churn
 // figures can report cost including wasted messages.
 //
-// Routes read the topology through NetworkView, so the same algorithm
-// runs against a live Network (implicit conversion keeps existing call
-// sites unchanged) or a frozen TopologySnapshot.
+// Routes read the topology through NetworkView (a `const Network&`), so
+// the same algorithm runs against a live Network or a frozen
+// TopologySnapshot.
 
 #ifndef OSCAR_ROUTING_ROUTER_H_
 #define OSCAR_ROUTING_ROUTER_H_

@@ -17,21 +17,19 @@ struct WalkOutcome {
   uint64_t steps = 0;
 };
 
-template <typename Backend>
-size_t CountAliveWalkNeighbors(const Backend& topo, PeerId id) {
-  const uint8_t* alive = topo.alive_data();
+size_t CountAliveWalkNeighbors(NetworkView net, PeerId id) {
+  const uint8_t* alive = net.alive_data();
   size_t count = 0;
-  ForEachWalkNeighbor(topo, id, [&](PeerId n) { count += alive[n]; });
+  ForEachWalkNeighbor(net, id, [&](PeerId n) { count += alive[n]; });
   return count;
 }
 
 /// The k-th (0-based) alive walk neighbor; precondition k < count.
-template <typename Backend>
-PeerId KthAliveWalkNeighbor(const Backend& topo, PeerId id, size_t k) {
-  const uint8_t* alive = topo.alive_data();
+PeerId KthAliveWalkNeighbor(NetworkView net, PeerId id, size_t k) {
+  const uint8_t* alive = net.alive_data();
   PeerId picked = id;
   size_t seen = 0;
-  ForEachWalkNeighbor(topo, id, [&](PeerId n) {
+  ForEachWalkNeighbor(net, id, [&](PeerId n) {
     if (!alive[n]) return;
     if (seen == k) picked = n;
     ++seen;
@@ -43,18 +41,17 @@ PeerId KthAliveWalkNeighbor(const Backend& topo, PeerId id, size_t k) {
 /// the undirected gossip graph; mixes in O(log N) on a small world.
 /// Membership is tested at stride intervals only — testing every step
 /// would bias samples toward the segment boundary nearest the origin.
-/// The walk iterates the backend's flat rows in place: the uniform pick
+/// The walk iterates the network's flat rows in place: the uniform pick
 /// needs only (count, k-th alive neighbor) and the MH correction only
 /// the two neighborhood sizes, so no neighbor vector is ever built.
-template <typename Backend>
-WalkOutcome Walk(const Backend& topo, PeerId origin, KeyId from, KeyId to,
+WalkOutcome Walk(NetworkView net, PeerId origin, KeyId from, KeyId to,
                  const RandomWalkOptions& options, Rng* rng) {
   WalkOutcome out;
-  const KeyId* keys = topo.keys_data();
+  const KeyId* keys = net.keys_data();
   PeerId current = origin;
   if (options.visit_trace != nullptr) options.visit_trace->push_back(current);
   const uint32_t total_steps = options.burn_in + options.max_walk_steps;
-  size_t current_degree = CountAliveWalkNeighbors(topo, current);
+  size_t current_degree = CountAliveWalkNeighbors(net, current);
   for (uint32_t step = 0; step < total_steps; ++step) {
     if (step >= options.burn_in &&
         (step - options.burn_in) % options.test_stride == 0 &&
@@ -64,9 +61,9 @@ WalkOutcome Walk(const Backend& topo, PeerId origin, KeyId from, KeyId to,
     }
     if (current_degree == 0) break;
     const PeerId proposal = KthAliveWalkNeighbor(
-        topo, current,
+        net, current,
         static_cast<size_t>(rng->UniformInt(current_degree)));
-    const size_t proposal_degree = CountAliveWalkNeighbors(topo, proposal);
+    const size_t proposal_degree = CountAliveWalkNeighbors(net, proposal);
     ++out.steps;
     if (proposal_degree == 0) continue;
     const double accept = std::max(
@@ -95,7 +92,7 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
   }
   if (count <= options_.successor_list_cutoff) {
     // Successor-list path: enumerate the segment (one message per peer)
-    // and pick uniformly. The ring index is shared by both backends.
+    // and pick uniformly.
     const auto peer = net.ring().NthInSegment(
         from, to, static_cast<size_t>(rng->UniformInt(count)));
     if (!peer.has_value()) {
@@ -103,10 +100,7 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
     }
     return SegmentSample{*peer, count};
   }
-  // Rejection walk, with the backend picked once for the whole walk.
-  const WalkOutcome walk = net.Visit([&](const auto& topo) {
-    return Walk(topo, origin, from, to, options_, rng);
-  });
+  const WalkOutcome walk = Walk(net, origin, from, to, options_, rng);
   if (walk.found) return SegmentSample{walk.current, walk.steps};
   uint64_t steps = walk.steps;
   // Fallback range walk: route to a uniformly random key inside the

@@ -10,11 +10,10 @@ namespace {
 /// Summed clockwise span of `window` successor gaps starting at
 /// `origin`, walking ring positions directly (one modular increment per
 /// hop); 0 when the origin is dead or the ring is degenerate.
-template <typename Backend>
-uint64_t GapSpan(const Backend& topo, PeerId origin, uint32_t window) {
-  const Ring& ring = topo.ring();
+uint64_t GapSpan(NetworkView net, PeerId origin, uint32_t window) {
+  const Ring& ring = net.ring();
   const size_t n = ring.size();
-  uint32_t pos = topo.ring_pos(origin);
+  uint32_t pos = net.ring_pos(origin);
   if (n < 2 || pos == Network::kNotOnRing) return 0;
   uint64_t span = 0;
   for (uint32_t i = 0; i < window; ++i) {
@@ -42,8 +41,7 @@ double GapSizeEstimator::Estimate(NetworkView net, PeerId origin,
   if (alive < 2) return 1.0;
   const uint32_t window =
       static_cast<uint32_t>(std::min<size_t>(window_, alive - 1));
-  const uint64_t span = net.Visit(
-      [&](const auto& topo) { return GapSpan(topo, origin, window); });
+  const uint64_t span = GapSpan(net, origin, window);
   if (span == 0) return static_cast<double>(alive);
   const double span_fraction =
       static_cast<double>(span) / 18446744073709551616.0;

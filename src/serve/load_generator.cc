@@ -69,8 +69,7 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
   const uint32_t threads = std::max(1u, options_.threads);
   LatencyRecorder recorder(threads);
   // One stepper per worker, each on its own cache line (adjacent
-  // steppers written by two workers would false-share), stepped straight
-  // over the snapshot: no backend dispatch inside the route loop.
+  // steppers written by two workers would false-share).
   struct alignas(64) WorkerStepper {
     GreedyStepper stepper;
   };
@@ -104,7 +103,7 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
         GreedyStepper& stepper = steppers[worker].stepper;
         stepper.Start(view, source, key);
         for (size_t step = 0; step < max_steps && !stepper.done(); ++step) {
-          stepper.StepOn(snapshot_);
+          stepper.Step(view);
         }
         if (!stepper.done()) stepper.Abandon(view);
 
@@ -112,7 +111,7 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
         const RouteResult& result = stepper.result();
         out.messages = result.hops + result.wasted;
         out.success = result.success;
-        out.owner = snapshot_.OwnerOf(key).value_or(source);
+        out.owner = view.OwnerOf(key).value_or(source);
         recorder.shard(worker).Record(ServiceMs(out));
       },
       &gauge);
@@ -296,7 +295,7 @@ ServeCellReport LoadGenerator::ServeCell(
 }
 
 Result<ServeReport> LoadGenerator::Run() {
-  if (snapshot_.alive_count() == 0) {
+  if (snapshot_.network().alive_count() == 0) {
     return Status::Error("serve: snapshot has no alive peers");
   }
   if (options_.lookups == 0) {

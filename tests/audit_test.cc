@@ -42,29 +42,14 @@ struct NetworkTestAccess {
   static void SetRingPos(Network* net, PeerId id, uint32_t pos) {
     net->ring_pos_[id] = pos;
   }
+  static void ShiftOutBase(Network* net, PeerId id) { ++net->out_base_[id]; }
   static uint32_t out_count(const Network& net, PeerId id) {
     return net.out_count_[id];
   }
 };
 
 struct TopologySnapshotTestAccess {
-  static void FlipAlive(TopologySnapshot* snap, PeerId id) {
-    snap->alive_[id] = snap->alive_[id] ? 0 : 1;
-  }
-  static void CorruptOutEdge(TopologySnapshot* snap, size_t index,
-                             PeerId value) {
-    snap->out_edges_[index] = value;
-  }
-  static void BreakOffsetMonotonicity(TopologySnapshot* snap, PeerId id) {
-    if (snap->wide_) {
-      ++snap->out_offsets64_[id];
-    } else {
-      ++snap->out_offsets32_[id];
-    }
-  }
-  static void CorruptRingPos(TopologySnapshot* snap, PeerId id) {
-    ++snap->ring_pos_[id];
-  }
+  static Network* frozen(TopologySnapshot* snap) { return &snap->frozen_; }
 };
 
 namespace {
@@ -233,37 +218,38 @@ TEST(SnapshotValidate, PassesOnHealthySnapshots) {
   }
 }
 
-TEST(SnapshotValidate, PassesOnWideOffsetSnapshots) {
-  Network net = LinkedNetwork(120, 42);
-  const uint64_t previous = TopologySnapshot::SetWideOffsetThresholdForTest(8);
-  const TopologySnapshot wide(net);
-  TopologySnapshot::SetWideOffsetThresholdForTest(previous);
-  ASSERT_TRUE(wide.wide_offsets());
-  EXPECT_TRUE(wide.Validate().ok());
-}
-
 TEST(SnapshotValidate, DetectsEachCorruptionClass) {
   Network net = LinkedNetwork(80, 42);
   {
     TopologySnapshot snap(net);
-    TopologySnapshotTestAccess::FlipAlive(&snap, net.AlivePeers().front());
+    NetworkTestAccess::FlipAlive(TopologySnapshotTestAccess::frozen(&snap),
+                                 net.AlivePeers().front());
     EXPECT_FALSE(snap.Validate().ok()) << "liveness flip";
   }
   {
     TopologySnapshot snap(net);
-    TopologySnapshotTestAccess::CorruptOutEdge(
-        &snap, 0, static_cast<PeerId>(net.size() + 1000));
+    NetworkTestAccess::SetOutSlabEntry(
+        TopologySnapshotTestAccess::frozen(&snap), PeerWithLiveOutLink(net),
+        0, static_cast<PeerId>(net.size() + 1000));
     EXPECT_FALSE(snap.Validate().ok()) << "edge beyond peer table";
   }
   {
     TopologySnapshot snap(net);
-    TopologySnapshotTestAccess::BreakOffsetMonotonicity(&snap, 1);
-    EXPECT_FALSE(snap.Validate().ok()) << "offset monotonicity";
+    NetworkTestAccess::ShiftOutBase(TopologySnapshotTestAccess::frozen(&snap),
+                                    1);
+    EXPECT_FALSE(snap.Validate().ok()) << "row base drift";
   }
   {
     TopologySnapshot snap(net);
-    TopologySnapshotTestAccess::CorruptRingPos(&snap,
-                                               net.AlivePeers().front());
+    NetworkTestAccess::BumpOutCount(TopologySnapshotTestAccess::frozen(&snap),
+                                    PeerWithLiveOutLink(net));
+    EXPECT_FALSE(snap.Validate().ok()) << "row count drift";
+  }
+  {
+    TopologySnapshot snap(net);
+    const PeerId victim = net.AlivePeers().front();
+    NetworkTestAccess::SetRingPos(TopologySnapshotTestAccess::frozen(&snap),
+                                  victim, net.ring_pos(victim) + 1);
     EXPECT_FALSE(snap.Validate().ok()) << "ring_pos drift";
   }
 }

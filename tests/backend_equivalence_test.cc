@@ -1,8 +1,8 @@
-// Backend equivalence for the single flat read kernel: the walk, the
-// greedy and backtracking step kernels and the gap-span loop are each
-// one template over the backend type, and running them over a live
-// Network must reproduce running them over its frozen TopologySnapshot
-// move for move — same step kinds, hops, dead probes and routes, same
+// Freeze/restore losslessness, seen through the read kernels: a
+// TopologySnapshot is a frozen copy of a Network, and running the walk,
+// the greedy and backtracking step kernels and the gap-span loop over a
+// live Network must reproduce running them over its snapshot move for
+// move — same step kinds, hops, dead probes and routes, same
 // visited-peer sequence and rng consumption per walk, same size
 // estimates — on seeds 42-45, intact and crashed. The last case drives
 // the incremental ring_pos maintenance (Join, Crash, CrashMany,
@@ -48,7 +48,7 @@ void ExpectLockstepEqual(RouteStepper& live, RouteStepper& frozen,
   frozen.Start(snap, source, target);
   ASSERT_EQ(live.done(), frozen.done()) << label;
   // Generous bound: both algorithms terminate well before it.
-  for (size_t i = 0; i < 8 * snap.alive_count() + 64 && !live.done(); ++i) {
+  for (size_t i = 0; i < 8 * net.alive_count() + 64 && !live.done(); ++i) {
     ASSERT_FALSE(frozen.done()) << label << " step " << i;
     const RouteStep a = live.Step(net);
     const RouteStep b = frozen.Step(snap);
@@ -158,7 +158,7 @@ TEST(BackendEquivalenceTest, PerWalkLockstepAcrossSeedsAndCrashLevels) {
       const TopologySnapshot snap(net);
       const std::vector<PeerId> alive = net.AlivePeers();
       // Twin rng streams: the draws must stay aligned through every
-      // walk, which only holds if both backends consume identically.
+      // walk, which only holds if both runs consume identically.
       Rng live_rng(seed * 31337);
       Rng frozen_rng(seed * 31337);
       Rng segment_rng(seed * 101);  // Shared segment/origin chooser.
@@ -212,6 +212,19 @@ TEST(BackendEquivalenceTest, GapEstimatorMatchesAcrossBackends) {
   }
 }
 
+/// ForEachNeighbor's / ForEachWalkNeighbor's enumeration of `id` — the
+/// exact sequence the step and walk kernels iterate.
+std::vector<PeerId> Neighbors(NetworkView net, PeerId id) {
+  std::vector<PeerId> out;
+  ForEachNeighbor(net, id, [&](PeerId n) { out.push_back(n); });
+  return out;
+}
+std::vector<PeerId> WalkNeighbors(NetworkView net, PeerId id) {
+  std::vector<PeerId> out;
+  ForEachWalkNeighbor(net, id, [&](PeerId n) { out.push_back(n); });
+  return out;
+}
+
 /// Routing neighbors of every peer derived from the ring entries alone
 /// (a position map rebuilt by scanning the ring), independent of the
 /// incrementally maintained ring_pos index the kernels read.
@@ -246,15 +259,10 @@ void ExpectEnumerationFresh(const Network& net, const char* label) {
   const NetworkView live(net);
   const NetworkView frozen(snap);
   for (PeerId id = 0; id < net.size(); ++id) {
-    std::vector<PeerId> a, b;
-    live.AppendNeighbors(id, &a);
-    frozen.AppendNeighbors(id, &b);
-    ASSERT_EQ(a, expected[id]) << label << " peer " << id;
-    ASSERT_EQ(b, expected[id]) << label << " peer " << id;
-    std::vector<PeerId> wa, wb;
-    live.AppendWalkNeighbors(id, &wa);
-    frozen.AppendWalkNeighbors(id, &wb);
-    ASSERT_EQ(wa, wb) << label << " peer " << id;
+    ASSERT_EQ(Neighbors(live, id), expected[id]) << label << " peer " << id;
+    ASSERT_EQ(Neighbors(frozen, id), expected[id]) << label << " peer " << id;
+    ASSERT_EQ(WalkNeighbors(live, id), WalkNeighbors(frozen, id))
+        << label << " peer " << id;
     ASSERT_EQ(live.SuccessorOf(id), frozen.SuccessorOf(id))
         << label << " peer " << id;
     ASSERT_EQ(live.PredecessorOf(id), frozen.PredecessorOf(id))
@@ -324,7 +332,7 @@ TEST(BackendEquivalenceTest, RingPositionsSurviveInterleavedMutations) {
     ASSERT_TRUE(base.CheckRestoreIdentity(net).ok()) << "seed " << seed;
     ExpectEnumerationFresh(net, "delta restore");
     for (PeerId id = 0; id < net.size(); ++id) {
-      ASSERT_EQ(net.ring_pos(id), base.ring_pos(id)) << "peer " << id;
+      ASSERT_EQ(net.ring_pos(id), base.network().ring_pos(id)) << "peer " << id;
     }
     // Mutating again after the delta restore keeps the index fresh.
     net.Crash(random_alive());

@@ -221,19 +221,20 @@ TEST(TraceDeterminismTest, ScenarioCsvReplayMatchesDirectSink) {
   EXPECT_EQ(ReplayAsCsv(otrace), direct_csv.str());
 }
 
-TEST(TraceDeterminismTest, LegacyStringAdapterStillDeterministic) {
-  // The string adapter and a structured sink can ride the same run; the
-  // adapter's bytes stay seed-stable (the determinism test's contract).
+TEST(TraceDeterminismTest, CsvSinkStaysSeedDeterministic) {
+  // A CSV sink over an in-memory stream: its bytes stay seed-stable
+  // (the determinism test's contract).
   auto trace_bytes = [](uint64_t seed) {
     ScenarioOptions base;
     base.network_size = 140;
     base.lookups = 70;
     base.seed = seed;
-    std::string trace;
-    base.sim.trace = &trace;
+    std::ostringstream trace;
+    CsvTraceSink sink(&trace);
+    base.sim.sink = &sink;
     auto run = RunScenario("rolling-churn", base);
     EXPECT_TRUE(run.ok()) << run.status();
-    return trace;
+    return trace.str();
   };
   const std::string first = trace_bytes(42);
   ASSERT_FALSE(first.empty());

@@ -31,12 +31,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cli_util.h"
 #include "common/audit.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -45,8 +45,6 @@
 #include "serve/admission.h"
 #include "serve/load_generator.h"
 #include "sim/scenario.h"
-#include "trace/columnar_trace.h"
-#include "trace/trace.h"
 
 namespace oscar {
 namespace {
@@ -65,60 +63,7 @@ void PrintUsage(std::ostream& out) {
          "(burst at t=0)\n";
 }
 
-/// Flag-parse rejection: one diagnostic plus the usage text, exit 2.
-int RejectUsage(const std::string& message) {
-  std::cerr << "oscar_serve: " << message << "\n";
-  PrintUsage(std::cerr);
-  return 2;
-}
-
-/// `--flag=value` splitter: true when `arg` starts with `prefix=` and
-/// a non-empty value follows. A bare `--flag` or trailing `=` is the
-/// caller's rejection path.
-bool FlagValue(const std::string& arg, const std::string& flag,
-               std::string* value) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+const CliUsage kUsage{"oscar_serve", PrintUsage};
 
 void PrintBanner(const ScenarioOptions& base, const ServeOptions& serve) {
   std::cout << "###############################################\n"
@@ -142,6 +87,8 @@ void PrintBanner(const ScenarioOptions& base, const ServeOptions& serve) {
 }
 
 void PrintTables(const ServeReport& report) {
+  // The title is part of the pinned stdout bytes; it predates the
+  // snapshot sharing the live network's layout.
   TablePrinter route("route phase (frozen snapshot, CSR greedy)");
   route.SetHeader({"routed", "ok%", "msgs", "svc_p50", "svc_p99",
                    "svc_p99.9", "svc_max"});
@@ -239,102 +186,115 @@ int RunCli(const std::vector<std::string>& args) {
       bench_json = true;
     } else if (FlagValue(arg, "--lookups", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--lookups wants a positive integer, "
+        return RejectUsage(kUsage,
+                           StrCat("--lookups wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.lookups = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--concurrency", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--concurrency wants a positive "
+        return RejectUsage(kUsage,
+                           StrCat("--concurrency wants a positive "
                                   "integer, got '", value, "'"));
       }
       serve.concurrency = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--hot-keys", &value)) {
       if (!ParseUint(value, &number)) {
-        return RejectUsage(StrCat("--hot-keys wants a non-negative "
+        return RejectUsage(kUsage,
+                           StrCat("--hot-keys wants a non-negative "
                                   "integer, got '", value, "'"));
       }
       serve.hot_keys = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--queue-cap", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--queue-cap wants a positive integer, "
+        return RejectUsage(kUsage,
+                           StrCat("--queue-cap wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.admission.queue_capacity = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--peer-cap", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--peer-cap wants a positive integer, "
+        return RejectUsage(kUsage,
+                           StrCat("--peer-cap wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.admission.per_peer_cap = static_cast<size_t>(number);
     } else if (FlagValue(arg, "--burst", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--burst wants a positive number, "
+        return RejectUsage(kUsage,
+                           StrCat("--burst wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.burst = real;
     } else if (FlagValue(arg, "--hop-ms", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--hop-ms wants a positive number, "
+        return RejectUsage(kUsage,
+                           StrCat("--hop-ms wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.hop_ms = real;
     } else if (FlagValue(arg, "--zipf", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--zipf wants a positive exponent, "
+        return RejectUsage(kUsage,
+                           StrCat("--zipf wants a positive exponent, "
                                   "got '", value, "'"));
       }
       serve.zipf_exponent = real;
     } else if (FlagValue(arg, "--timeout-ms", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--timeout-ms wants a positive number, "
+        return RejectUsage(kUsage,
+                           StrCat("--timeout-ms wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.admission.timeout_ms = real;
     } else if (FlagValue(arg, "--rates", &value)) {
       std::vector<std::string> parts = SplitCommaList(value);
       if (parts.empty()) {
-        return RejectUsage("--rates got an empty list");
+        return RejectUsage(kUsage, "--rates got an empty list");
       }
       serve.offered_rates_per_s.clear();
       for (const std::string& part : parts) {
         if (!ParseDouble(part, &real) || real < 0.0) {
-          return RejectUsage(StrCat("--rates wants non-negative numbers, "
+          return RejectUsage(kUsage,
+                             StrCat("--rates wants non-negative numbers, "
                                     "got '", part, "'"));
         }
         serve.offered_rates_per_s.push_back(real);
       }
     } else if (FlagValue(arg, "--trace-file", &value)) {
       if (!trace_path.empty()) {
-        return RejectUsage("duplicate --trace-file (one trace per run)");
+        return RejectUsage(kUsage,
+                           "duplicate --trace-file (one trace per run)");
       }
       if (value.empty()) {
-        return RejectUsage("--trace-file requires a path");
+        return RejectUsage(kUsage, "--trace-file requires a path");
       }
       trace_path = value;
     } else if (FlagValue(arg, "--trace-format", &value)) {
       if (value != "csv" && value != "otrace") {
-        return RejectUsage(StrCat("--trace-format wants csv or otrace, "
+        return RejectUsage(kUsage,
+                           StrCat("--trace-format wants csv or otrace, "
                                   "got '", value, "'"));
       }
       trace_format = value;
     } else if (FlagValue(arg, "--queue-cadence-ms", &value)) {
       if (!ParseDouble(value, &real) || real < 0.0) {
-        return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
+        return RejectUsage(kUsage,
+                           StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }
       serve.trace_cadence_ms = real;
     } else if (FlagValue(arg, "--policies", &value)) {
       std::vector<std::string> parts = SplitCommaList(value);
       if (parts.empty()) {
-        return RejectUsage("--policies got an empty list");
+        return RejectUsage(kUsage, "--policies got an empty list");
       }
       serve.policies = std::move(parts);
     } else {
       // Everything else — unknown flags, bare `--rates` (the = form is
       // mandatory for value flags), and positional words — is a
       // rejection: this CLI takes no positional arguments.
-      return RejectUsage(StrCat("unknown argument: '", arg, "'"));
+      return RejectUsage(kUsage, StrCat("unknown argument: '", arg, "'"));
     }
   }
   if (list_policies) {
@@ -348,41 +308,21 @@ int RunCli(const std::vector<std::string>& args) {
   for (const std::string& name : serve.policies) {
     if (auto probe = MakeAdmissionPolicy(name, serve.admission);
         !probe.ok()) {
-      return RejectUsage(probe.status().message());
+      return RejectUsage(kUsage, probe.status().message());
     }
   }
   if (!trace_format.empty() && trace_path.empty()) {
-    return RejectUsage("--trace-format needs --trace-file");
+    return RejectUsage(kUsage, "--trace-format needs --trace-file");
   }
 
-  // Sink selection mirrors oscar_sim: `.otrace` extension = binary
-  // columnar writer, anything else CSV; --trace-format overrides.
-  std::ofstream trace_file;
-  std::unique_ptr<TraceSink> trace_sink;
-  ColumnarTraceWriter* columnar = nullptr;
+  TraceFile trace;
   if (!trace_path.empty()) {
-    const std::string ext = ".otrace";
-    const bool by_ext =
-        trace_path.size() >= ext.size() &&
-        trace_path.compare(trace_path.size() - ext.size(), ext.size(),
-                           ext) == 0;
-    const bool binary =
-        trace_format.empty() ? by_ext : trace_format == "otrace";
-    trace_file.open(trace_path, binary ? std::ios::binary | std::ios::out
-                                       : std::ios::out);
-    if (!trace_file) {
-      std::cerr << "oscar_serve: cannot open trace file: " << trace_path
-                << "\n";
+    if (const Status opened = trace.Open(trace_path, trace_format);
+        !opened.ok()) {
+      std::cerr << "oscar_serve: " << opened.message() << "\n";
       return 2;
     }
-    if (binary) {
-      auto writer = std::make_unique<ColumnarTraceWriter>(&trace_file);
-      columnar = writer.get();
-      trace_sink = std::move(writer);
-    } else {
-      trace_sink = std::make_unique<CsvTraceSink>(&trace_file);
-    }
-    serve.trace = trace_sink.get();
+    serve.trace = trace.sink();
   }
 
   const ExperimentScale scale = ScaleFromEnv();
@@ -412,15 +352,9 @@ int RunCli(const std::vector<std::string>& args) {
   const double serve_s = SecondsSince(serve_start);
   const ServeReport& report = run.value();
 
-  if (trace_sink != nullptr) {
-    if (columnar != nullptr) {
-      columnar->Close();
-    } else {
-      trace_sink->Flush();
-    }
-    if (!trace_file) {
-      std::cerr << "oscar_serve: error writing trace file: " << trace_path
-                << "\n";
+  if (serve.trace != nullptr) {
+    if (const Status closed = trace.Close(); !closed.ok()) {
+      std::cerr << "oscar_serve: trace: " << closed.message() << "\n";
       return 2;
     }
   }

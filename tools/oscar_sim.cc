@@ -42,20 +42,17 @@
 // infrastructure error (unknown scenario, experiment Status error).
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cli_util.h"
 #include "common/audit.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/experiments.h"
 #include "sim/scenario.h"
-#include "trace/columnar_trace.h"
-#include "trace/trace.h"
 
 namespace oscar {
 namespace {
@@ -70,19 +67,6 @@ void PrintBanner(const ExperimentScale& scale) {
             << "###############################################\n";
 }
 
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 void PrintUsage(std::ostream& out) {
   out << "usage: oscar_sim [--list] [--cross-check] "
          "[--scenarios a,b,c] [--trace-file out.otrace|out.csv] "
@@ -95,27 +79,7 @@ void PrintUsage(std::ostream& out) {
   out << "\n";
 }
 
-/// True when `path` ends in the binary columnar extension.
-bool HasOtraceExtension(const std::string& path) {
-  const std::string ext = ".otrace";
-  return path.size() >= ext.size() &&
-         path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
-}
-
-/// Flag-parse rejection: one diagnostic plus the usage line, exit 2
-/// (the CLI's infrastructure-error code, distinct from a failed
-/// cross-check's exit 1).
-int RejectUsage(const std::string& message) {
-  std::cerr << "oscar_sim: " << message << "\n";
-  PrintUsage(std::cerr);
-  return 2;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+const CliUsage kUsage{"oscar_sim", PrintUsage};
 
 int RunCli(const std::vector<std::string>& args) {
   // Runtime invariant audits (common/audit.h): growth checkpoints,
@@ -144,7 +108,8 @@ int RunCli(const std::vector<std::string>& args) {
       std::string raw_list;
       if (arg == "--scenarios") {
         if (i + 1 >= args.size()) {
-          return RejectUsage("--scenarios requires a comma-separated list");
+          return RejectUsage(kUsage,
+                             "--scenarios requires a comma-separated list");
         }
         raw_list = args[++i];
       } else {
@@ -152,36 +117,38 @@ int RunCli(const std::vector<std::string>& args) {
       }
       std::vector<std::string> parsed = SplitCommaList(raw_list);
       if (parsed.empty()) {
-        return RejectUsage("--scenarios got an empty list");
+        return RejectUsage(kUsage, "--scenarios got an empty list");
       }
       for (std::string& name : parsed) names.push_back(std::move(name));
     } else if (arg == "--trace-file" || arg.rfind("--trace-file=", 0) == 0) {
       if (!trace_path.empty()) {
-        return RejectUsage("duplicate --trace-file (one trace per run)");
+        return RejectUsage(kUsage,
+                           "duplicate --trace-file (one trace per run)");
       }
       if (arg == "--trace-file") {
         if (i + 1 >= args.size()) {
-          return RejectUsage("--trace-file requires a path");
+          return RejectUsage(kUsage, "--trace-file requires a path");
         }
         trace_path = args[++i];
       } else {
         trace_path = arg.substr(sizeof("--trace-file=") - 1);
       }
       if (trace_path.empty()) {
-        return RejectUsage("--trace-file requires a path");
+        return RejectUsage(kUsage, "--trace-file requires a path");
       }
     } else if (arg == "--trace-format" ||
                arg.rfind("--trace-format=", 0) == 0) {
       if (arg == "--trace-format") {
         if (i + 1 >= args.size()) {
-          return RejectUsage("--trace-format requires csv or otrace");
+          return RejectUsage(kUsage, "--trace-format requires csv or otrace");
         }
         trace_format = args[++i];
       } else {
         trace_format = arg.substr(sizeof("--trace-format=") - 1);
       }
       if (trace_format != "csv" && trace_format != "otrace") {
-        return RejectUsage(StrCat("--trace-format wants csv or otrace, "
+        return RejectUsage(kUsage,
+                           StrCat("--trace-format wants csv or otrace, "
                                   "got '", trace_format, "'"));
       }
     } else if (arg == "--queue-cadence-ms" ||
@@ -189,17 +156,16 @@ int RunCli(const std::vector<std::string>& args) {
       std::string value;
       if (arg == "--queue-cadence-ms") {
         if (i + 1 >= args.size()) {
-          return RejectUsage("--queue-cadence-ms requires a value");
+          return RejectUsage(kUsage, "--queue-cadence-ms requires a value");
         }
         value = args[++i];
       } else {
         value = arg.substr(sizeof("--queue-cadence-ms=") - 1);
       }
-      char* end = nullptr;
-      const double parsed =
-          value.empty() ? -1.0 : std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0) {
-        return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
+      double parsed = 0.0;
+      if (!ParseDouble(value, &parsed) || parsed < 0.0) {
+        return RejectUsage(kUsage,
+                           StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }
       queue_cadence_ms = parsed;
@@ -208,17 +174,17 @@ int RunCli(const std::vector<std::string>& args) {
       std::string value;
       if (arg == "--maintenance-cadence-ms") {
         if (i + 1 >= args.size()) {
-          return RejectUsage("--maintenance-cadence-ms requires a value");
+          return RejectUsage(kUsage,
+                             "--maintenance-cadence-ms requires a value");
         }
         value = args[++i];
       } else {
         value = arg.substr(sizeof("--maintenance-cadence-ms=") - 1);
       }
-      char* end = nullptr;
-      const double parsed =
-          value.empty() ? -1.0 : std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0) {
-        return RejectUsage(StrCat("--maintenance-cadence-ms wants a "
+      double parsed = 0.0;
+      if (!ParseDouble(value, &parsed) || parsed < 0.0) {
+        return RejectUsage(kUsage,
+                           StrCat("--maintenance-cadence-ms wants a "
                                   "non-negative number, got '", value, "'"));
       }
       maintenance_cadence_ms = parsed;
@@ -226,7 +192,7 @@ int RunCli(const std::vector<std::string>& args) {
       std::string value;
       if (arg == "--fault-plan") {
         if (i + 1 >= args.size()) {
-          return RejectUsage("--fault-plan requires a spec");
+          return RejectUsage(kUsage, "--fault-plan requires a spec");
         }
         value = args[++i];
       } else {
@@ -234,7 +200,7 @@ int RunCli(const std::vector<std::string>& args) {
       }
       auto parsed = ParseFaultPlan(value);
       if (!parsed.ok()) {
-        return RejectUsage(parsed.status().message());
+        return RejectUsage(kUsage, parsed.status().message());
       }
       // Repeats accumulate, like the scenario list.
       for (FaultSpec& spec : parsed.value().faults) {
@@ -244,7 +210,7 @@ int RunCli(const std::vector<std::string>& args) {
       PrintUsage(std::cout);
       return 0;
     } else if (arg.rfind("-", 0) == 0) {
-      return RejectUsage(StrCat("unknown flag: '", arg, "'"));
+      return RejectUsage(kUsage, StrCat("unknown flag: '", arg, "'"));
     } else {
       names.push_back(arg);
     }
@@ -273,36 +239,19 @@ int RunCli(const std::vector<std::string>& args) {
   // first bad one's predecessors, so `valid,bogus` still exits 2.
   for (const std::string& name : names) {
     if (auto probe = MakeScenarioOptions(name, base); !probe.ok()) {
-      return RejectUsage(probe.status().message());
+      return RejectUsage(kUsage, probe.status().message());
     }
   }
 
   if (!trace_format.empty() && trace_path.empty()) {
-    return RejectUsage("--trace-format needs --trace-file");
+    return RejectUsage(kUsage, "--trace-format needs --trace-file");
   }
-  // Sink selection: the `.otrace` extension picks the binary columnar
-  // writer, anything else the CSV adapter; --trace-format overrides.
-  std::ofstream trace_file;
-  std::unique_ptr<TraceSink> trace_sink;
-  ColumnarTraceWriter* columnar = nullptr;
+  TraceFile trace;
   if (!trace_path.empty()) {
-    const bool binary = trace_format.empty()
-                            ? HasOtraceExtension(trace_path)
-                            : trace_format == "otrace";
-    trace_file.open(trace_path,
-                    binary ? std::ios::binary | std::ios::out
-                           : std::ios::out);
-    if (!trace_file) {
-      std::cerr << "oscar_sim: cannot open trace file: " << trace_path
-                << "\n";
+    if (const Status opened = trace.Open(trace_path, trace_format);
+        !opened.ok()) {
+      std::cerr << "oscar_sim: " << opened.message() << "\n";
       return 2;
-    }
-    if (binary) {
-      auto writer = std::make_unique<ColumnarTraceWriter>(&trace_file);
-      columnar = writer.get();
-      trace_sink = std::move(writer);
-    } else {
-      trace_sink = std::make_unique<CsvTraceSink>(&trace_file);
     }
   }
 
@@ -354,9 +303,9 @@ int RunCli(const std::vector<std::string>& args) {
   Network scratch;
   for (const std::string& name : names) {
     ScenarioOptions options = base;
-    if (trace_sink != nullptr) {
-      trace_sink->SetScope(trace_sink->Intern(name));
-      options.sim.sink = trace_sink.get();
+    if (TraceSink* sink = trace.sink(); sink != nullptr) {
+      sink->SetScope(sink->Intern(name));
+      options.sim.sink = sink;
       options.sim.queue_depth_cadence_ms = queue_cadence_ms;
     }
     auto run = RunScenarioOn(name, options, grown.value(), &scratch);
@@ -426,11 +375,8 @@ int RunCli(const std::vector<std::string>& args) {
     }
   }
   const double run_s = SecondsSince(run_start);
-  if (trace_sink != nullptr) {
-    // The columnar writer frames an end record; both sinks flush.
-    const Status closed =
-        columnar != nullptr ? columnar->Close() : trace_sink->Flush();
-    if (!closed.ok()) {
+  if (trace.sink() != nullptr) {
+    if (const Status closed = trace.Close(); !closed.ok()) {
       std::cerr << "oscar_sim: trace: " << closed.message() << "\n";
       return 2;
     }

@@ -21,13 +21,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cli_util.h"
 #include "common/string_util.h"
 #include "metrics/message_metrics.h"
 #include "trace/trace.h"
@@ -43,28 +43,7 @@ void PrintUsage(std::ostream& out) {
          "to the t_ms,scenario,event,... CSV rows on stdout\n";
 }
 
-int RejectUsage(const std::string& message) {
-  std::cerr << "oscar_trace: " << message << "\n";
-  PrintUsage(std::cerr);
-  return 2;
-}
-
-bool FlagValue(const std::string& arg, const std::string& flag,
-               std::string* value) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
+const CliUsage kUsage{"oscar_trace", PrintUsage};
 
 /// Everything the summary mode aggregates for one scope (scenario or
 /// sweep cell), in first-appearance order.
@@ -286,25 +265,27 @@ int RunCli(const std::vector<std::string>& args) {
     } else if (FlagValue(arg, "--time-buckets", &value)) {
       if (!ParseUint(value, &time_buckets) || time_buckets == 0 ||
           time_buckets > 512) {
-        return RejectUsage(StrCat("--time-buckets wants 1..512, got '",
+        return RejectUsage(kUsage,
+                           StrCat("--time-buckets wants 1..512, got '",
                                   value, "'"));
       }
     } else if (FlagValue(arg, "--peer-buckets", &value)) {
       if (!ParseUint(value, &peer_buckets) || peer_buckets == 0 ||
           peer_buckets > 256) {
-        return RejectUsage(StrCat("--peer-buckets wants 1..256, got '",
+        return RejectUsage(kUsage,
+                           StrCat("--peer-buckets wants 1..256, got '",
                                   value, "'"));
       }
     } else if (!arg.empty() && arg[0] == '-') {
-      return RejectUsage(StrCat("unknown flag: '", arg, "'"));
+      return RejectUsage(kUsage, StrCat("unknown flag: '", arg, "'"));
     } else if (path.empty()) {
       path = arg;
     } else {
-      return RejectUsage("expected exactly one trace file");
+      return RejectUsage(kUsage, "expected exactly one trace file");
     }
   }
   if (path.empty()) {
-    return RejectUsage("missing trace file argument");
+    return RejectUsage(kUsage, "missing trace file argument");
   }
 
   auto decoded = ReadTraceFile(path);
